@@ -4,7 +4,7 @@
 //! The contrast between ids is the protocol's cost: `local_range` is
 //! the in-process oracle; `loopback_range` pays the frame encode, two
 //! socket hops, and the client-side decode for the same window; and
-//! `loopback_range_warm` shows what the shared segment cache shaves
+//! `loopback_range_warm` shows what the shared frame cache shaves
 //! off the server's decode once the window is hot.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

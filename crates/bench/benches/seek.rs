@@ -1,12 +1,13 @@
 //! Random-access benchmarks: the sidecar-driven `seek` against the
-//! linear frame walk it replaces, and warm segment-cache reads against
+//! linear frame walk it replaces, and warm frame-cache reads against
 //! cold decodes of the same window.
 //!
-//! All four benches end by decoding exactly one frame at the target, so
-//! the contrast between ids is pure positioning cost: `sidecar` decodes
-//! at most one segment before the target, `linear_skip` decodes every
-//! frame in front of it, and `warm_cache` serves the target segment
-//! from memory without touching the codec at all.
+//! All four benches end by handing out exactly one frame at the target,
+//! so the contrast between ids is pure positioning cost: `sidecar`
+//! decodes at most one segment before the target, `linear_skip` decodes
+//! every frame in front of it, and `warm_cache` serves the decoded
+//! target frame from memory without touching the codec or the bytesort
+//! inverse at all.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -68,8 +69,8 @@ fn bench_seek(c: &mut Criterion) {
         });
     });
 
-    // Cold: a fresh cache every iteration, so every segment load misses
-    // and pays the full read + decompress.
+    // Cold: a fresh cache every iteration, so the frame lookup misses
+    // and pays the full read + decompress + inverse.
     g.bench_function("cold_cache", |b| {
         b.iter(|| {
             let cache = Arc::new(SegmentCache::new(64 << 20));
@@ -86,7 +87,7 @@ fn bench_seek(c: &mut Criterion) {
         });
     });
     // Warm: one shared cache pre-populated before sampling starts; the
-    // seek resolves against decoded bytes already in memory.
+    // seek resolves against the decoded frame already in memory.
     let warm = Arc::new(SegmentCache::new(64 << 20));
     {
         let mut r = AtcReader::open_with(

@@ -11,9 +11,9 @@
 //!   ratio of every associativity in one pass per set count; this replaces
 //!   the Cheetah simulator used for Figure 3.
 //! * [`SegmentCache`] — not a simulation subject but a *production*
-//!   component: the process-wide, byte-budgeted LRU of decoded codec
-//!   segments that the random-access read path shares across concurrent
-//!   readers of a hot trace.
+//!   component: the process-wide, byte-budgeted LRU of bytesort-decoded
+//!   frames, keyed by `(trace id, frame number)`, that the random-access
+//!   read path shares across concurrent readers of a hot trace.
 //!
 //! The filter front end is the ingest bottleneck (every raw access goes
 //! through it before the codec sees anything), so it has a batched fast
@@ -50,6 +50,6 @@ pub use cache::{AccessResult, Cache, CacheConfig};
 pub use filter::{block_of, filtered_trace, is_writeback, CacheFilter, Filtered, WRITEBACK_BIT};
 pub use par::ParallelCacheFilter;
 pub use segment::{
-    trace_id, SegmentCache, SegmentCacheStats, SegmentKey, DEFAULT_SEGMENT_CACHE_BYTES,
+    trace_id, FrameKey, SegmentCache, SegmentCacheStats, DEFAULT_SEGMENT_CACHE_BYTES,
 };
 pub use stack::{ParallelStackSim, StackSim};

@@ -1,32 +1,38 @@
-//! Process-wide decoded-segment cache for the random-access read path.
+//! Process-wide decoded-frame cache for the random-access read path.
 //!
-//! `AtcReader::seek` decodes exactly one compressed segment to reach its
-//! target frame. When N concurrent readers hammer the same hot trace (the
-//! access pattern of a trace-serving daemon or SimPoint-style sampling),
-//! each would decode the same segments over and over; a shared
-//! [`SegmentCache`] lets them reuse each other's decode work instead.
+//! The paper's bytesort inverse rebuilds a whole buffer of `B`
+//! addresses at once — each column is ordered by the bytes before it, so
+//! no slice of a frame decodes on its own. A cache of raw codec segments
+//! would therefore still pay the full inverse on every warm read. The
+//! shared [`SegmentCache`] holds what readers actually consume instead:
+//! **bytesort-decoded frames**. When N concurrent readers hammer the
+//! same hot trace (the access pattern of a trace-serving daemon or
+//! SimPoint-style sampling), a frame one of them decoded is a pointer
+//! clone for all the others — no decompression, no inverse.
 //!
-//! Entries are keyed by `(trace_id, segment_idx)` — [`trace_id`] hashes
-//! the canonicalized trace directory path, so two readers of the same
+//! Entries are keyed by `(trace_id, frame_no)` — [`trace_id`] hashes the
+//! canonicalized trace directory path, so two readers of the same
 //! directory agree on the key while distinct traces never collide in
-//! practice — and hold the segment's *decoded* bytes behind an `Arc`, so
-//! a hit is a clone of a pointer, not a copy of a megabyte.
+//! practice — and hold the frame's addresses as an `Arc<[u64]>`. Every
+//! lookup is one frame lookup: `hits` and `misses` count frames.
 //!
-//! Capacity is bytes, not entries, accounted through the same
-//! [`ByteBudget`] the write pipeline uses for its buffering gate:
-//! least-recently-used entries are evicted until an insert fits, and an
-//! entry larger than the whole cap bypasses the cache entirely (caching
-//! it would evict everything for one reader's benefit). Hit, miss, and
-//! eviction counters are exposed for `atcstat`/`atcstore stat`.
+//! Capacity is bytes, not entries (8 bytes per cached address),
+//! accounted through the same [`ByteBudget`] the write pipeline uses for
+//! its buffering gate: least-recently-used entries are evicted until an
+//! insert fits, and an entry larger than the whole cap bypasses the
+//! cache entirely (caching it would evict everything for one reader's
+//! benefit). Hit, miss, and eviction counters are exposed for
+//! `atcstat`/`atcstore stat`.
 
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use atc_codec::ByteBudget;
 
-/// Cache key: `(trace_id, segment_idx)` (see [`trace_id`]).
-pub type SegmentKey = (u64, u64);
+/// Cache key: `(trace_id, frame_no)` (see [`trace_id`]).
+pub type FrameKey = (u64, u64);
 
 /// Default byte capacity of the process-wide cache ([`SegmentCache::global`]).
 pub const DEFAULT_SEGMENT_CACHE_BYTES: u64 = 256 << 20;
@@ -34,13 +40,13 @@ pub const DEFAULT_SEGMENT_CACHE_BYTES: u64 = 256 << 20;
 /// Counter snapshot of a [`SegmentCache`] (see [`SegmentCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentCacheStats {
-    /// Lookups served from the cache.
+    /// Frame lookups served from the cache.
     pub hits: u64,
-    /// Lookups that found nothing.
+    /// Frame lookups that found nothing.
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
-    /// Decoded bytes currently held.
+    /// Decoded bytes currently held (8 per cached address).
     pub bytes: u64,
     /// Configured byte capacity.
     pub cap: u64,
@@ -67,14 +73,52 @@ impl SegmentCacheStats {
     }
 }
 
-/// A byte-budgeted, true-LRU cache of decoded codec segments shared by
+/// Byte cost of a cached frame.
+fn frame_bytes(frame: &[u64]) -> u64 {
+    frame.len() as u64 * 8
+}
+
+/// The LRU index: entries by key, plus a recency order (oldest stamp
+/// first) so both lookups and evictions stay logarithmic however many
+/// small frames the budget holds.
+#[derive(Debug, Default)]
+struct Lru {
+    entries: HashMap<FrameKey, (Arc<[u64]>, u64)>,
+    order: BTreeMap<u64, FrameKey>,
+    clock: u64,
+}
+
+impl Lru {
+    /// Marks `key` most recently used; returns its frame if present.
+    fn touch(&mut self, key: FrameKey) -> Option<Arc<[u64]>> {
+        let (frame, stamp) = self.entries.get_mut(&key)?;
+        self.order.remove(stamp);
+        self.clock += 1;
+        *stamp = self.clock;
+        self.order.insert(self.clock, key);
+        Some(Arc::clone(frame))
+    }
+
+    fn push(&mut self, key: FrameKey, frame: Arc<[u64]>) {
+        self.clock += 1;
+        self.order.insert(self.clock, key);
+        self.entries.insert(key, (frame, self.clock));
+    }
+
+    /// Removes the least recently used entry.
+    fn pop_oldest(&mut self) -> Option<Arc<[u64]>> {
+        let (_, key) = self.order.pop_first()?;
+        self.entries.remove(&key).map(|(frame, _)| frame)
+    }
+}
+
+/// A byte-budgeted, true-LRU cache of bytesort-decoded frames shared by
 /// every reader in the process.
 ///
-/// Thread-safe; lookups and inserts take one short mutex-protected pass
-/// over an MRU-ordered list. The entry payload is `Arc<Vec<u8>>`, so
-/// readers keep using a segment after it is evicted — eviction only
-/// releases the cache's byte accounting, the memory follows the last
-/// reader.
+/// Thread-safe; lookups and inserts take one short mutex-protected
+/// pass. The entry payload is `Arc<[u64]>`, so readers keep using a
+/// frame after it is evicted — eviction only releases the cache's byte
+/// accounting, the memory follows the last reader.
 ///
 /// # Examples
 ///
@@ -84,28 +128,27 @@ impl SegmentCacheStats {
 ///
 /// let cache = SegmentCache::new(1 << 20);
 /// assert!(cache.get((7, 0)).is_none());
-/// cache.insert((7, 0), Arc::new(vec![1, 2, 3]));
-/// assert_eq!(cache.get((7, 0)).unwrap().as_slice(), &[1, 2, 3]);
+/// cache.insert((7, 0), Arc::from([64u64, 128, 192]));
+/// assert_eq!(&cache.get((7, 0)).unwrap()[..], &[64, 128, 192]);
 /// let stats = cache.stats();
-/// assert_eq!((stats.hits, stats.misses), (1, 1));
+/// assert_eq!((stats.hits, stats.misses, stats.bytes), (1, 1, 24));
 /// ```
 #[derive(Debug)]
 pub struct SegmentCache {
     budget: ByteBudget,
-    /// `(key, decoded bytes)`, least recently used first.
-    entries: Mutex<Vec<(SegmentKey, Arc<Vec<u8>>)>>,
+    lru: Mutex<Lru>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl SegmentCache {
-    /// Creates a cache holding up to `cap_bytes` of decoded segments
+    /// Creates a cache holding up to `cap_bytes` of decoded frames
     /// (clamped to at least 1).
     pub fn new(cap_bytes: u64) -> Self {
         Self {
             budget: ByteBudget::new(cap_bytes),
-            entries: Mutex::new(Vec::new()),
+            lru: Mutex::new(Lru::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -131,64 +174,57 @@ impl SegmentCache {
         Arc::new(SegmentCache::new(cap_bytes))
     }
 
-    /// Looks up a decoded segment, refreshing its recency on a hit.
-    pub fn get(&self, key: SegmentKey) -> Option<Arc<Vec<u8>>> {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        match entries.iter().position(|(k, _)| *k == key) {
-            Some(i) => {
-                // Move to MRU (the end); the list is short enough that a
-                // rotate beats a linked structure's pointer chasing.
-                let entry = entries.remove(i);
-                let bytes = Arc::clone(&entry.1);
-                entries.push(entry);
-                drop(entries);
-                // ordering: Relaxed — observability counter only.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(bytes)
-            }
-            None => {
-                drop(entries);
-                // ordering: Relaxed — observability counter only.
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// Looks up a decoded frame, refreshing its recency on a hit.
+    pub fn get(&self, key: FrameKey) -> Option<Arc<[u64]>> {
+        let found = self
+            .lru
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .touch(key);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        // ordering: Relaxed — observability counter only.
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    /// Inserts (or refreshes) a decoded segment, evicting from the LRU
-    /// end until it fits. A segment larger than the whole capacity is
-    /// not cached at all — admitting it would flush every other entry
-    /// for a single reader's benefit.
-    pub fn insert(&self, key: SegmentKey, bytes: Arc<Vec<u8>>) {
-        let len = bytes.len() as u64;
+    /// Inserts (or refreshes) a decoded frame, evicting from the LRU end
+    /// until it fits. A frame larger than the whole capacity is not
+    /// cached at all — admitting it would flush every other entry for a
+    /// single reader's benefit.
+    pub fn insert(&self, key: FrameKey, frame: Arc<[u64]>) {
+        let len = frame_bytes(&frame);
         if len > self.budget.cap() {
             return;
         }
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(i) = entries.iter().position(|(k, _)| *k == key) {
+        let mut lru = self.lru.lock().unwrap_or_else(|e| e.into_inner());
+        if lru.touch(key).is_some() {
             // Already cached (two readers raced on the same miss): keep
-            // the incumbent bytes, just refresh recency.
-            let entry = entries.remove(i);
-            entries.push(entry);
+            // the incumbent frame, just refresh recency.
             return;
         }
         // Evict before acquiring so the (blocking) budget acquire is
         // always immediate: after this loop `in_use + len <= cap` holds.
         while self.budget.in_use() + len > self.budget.cap() {
-            let (_, evicted) = entries.remove(0);
-            self.budget.release(evicted.len() as u64);
+            let Some(evicted) = lru.pop_oldest() else {
+                break;
+            };
+            self.budget.release(frame_bytes(&evicted));
             // ordering: Relaxed — observability counter only.
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         self.budget.acquire(len);
-        entries.push((key, bytes));
+        lru.push(key, frame);
     }
 
     /// Drops every entry (the counters survive; `bytes` returns to 0).
     pub fn clear(&self) {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        for (_, bytes) in entries.drain(..) {
-            self.budget.release(bytes.len() as u64);
+        let mut lru = self.lru.lock().unwrap_or_else(|e| e.into_inner());
+        while let Some(frame) = lru.pop_oldest() {
+            self.budget.release(frame_bytes(&frame));
         }
     }
 
@@ -206,11 +242,11 @@ impl SegmentCache {
     }
 }
 
-/// Stable identifier of a trace directory for [`SegmentKey`]s: an
-/// FNV-1a hash of the canonicalized path (falling back to the path as
-/// given when canonicalization fails, e.g. the directory vanished), so
-/// every reader of one on-disk trace lands on the same id no matter how
-/// its path was spelled.
+/// Stable identifier of a trace directory for [`FrameKey`]s: an FNV-1a
+/// hash of the canonicalized path (falling back to the path as given
+/// when canonicalization fails, e.g. the directory vanished), so every
+/// reader of one on-disk trace lands on the same id no matter how its
+/// path was spelled.
 pub fn trace_id(dir: &Path) -> u64 {
     let canonical = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -225,19 +261,20 @@ pub fn trace_id(dir: &Path) -> u64 {
 mod tests {
     use super::*;
 
-    fn seg(n: usize, fill: u8) -> Arc<Vec<u8>> {
-        Arc::new(vec![fill; n])
+    /// A frame of `n` addresses (`8 * n` cache bytes).
+    fn frame(n: usize, fill: u64) -> Arc<[u64]> {
+        vec![fill; n].into()
     }
 
     #[test]
     fn hit_miss_and_recency() {
-        let c = SegmentCache::new(1000);
+        let c = SegmentCache::new(8000);
         assert!(c.get((1, 0)).is_none());
-        c.insert((1, 0), seg(400, 0xA));
-        c.insert((1, 1), seg(400, 0xB));
+        c.insert((1, 0), frame(400, 0xA));
+        c.insert((1, 1), frame(400, 0xB));
         assert_eq!(c.get((1, 0)).unwrap().len(), 400);
-        // (1,1) is now LRU; a 400-byte insert must evict it, not (1,0).
-        c.insert((1, 2), seg(400, 0xC));
+        // (1,1) is now LRU; a 3200-byte insert must evict it, not (1,0).
+        c.insert((1, 2), frame(400, 0xC));
         assert!(c.get((1, 1)).is_none(), "LRU entry evicted");
         assert!(c.get((1, 0)).is_some(), "recently used entry survives");
         assert!(c.get((1, 2)).is_some());
@@ -245,15 +282,31 @@ mod tests {
         assert_eq!(s.hits, 3);
         assert_eq!(s.misses, 2);
         assert_eq!(s.evictions, 1);
-        assert_eq!(s.bytes, 800);
-        assert_eq!(s.cap, 1000);
+        assert_eq!(s.bytes, 6400, "8 bytes per cached address");
+        assert_eq!(s.cap, 8000);
+    }
+
+    #[test]
+    fn evicts_oldest_of_many_small_frames() {
+        // Small frames mean thousands of entries: eviction must still
+        // follow recency exactly.
+        let c = SegmentCache::new(1000 * 8);
+        for f in 0..1000u64 {
+            c.insert((9, f), frame(1, f));
+        }
+        assert!(c.get((9, 0)).is_some(), "refresh the oldest");
+        c.insert((9, 1000), frame(1, 1000));
+        assert!(c.get((9, 1)).is_none(), "second oldest went first");
+        assert!(c.get((9, 0)).is_some());
+        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.stats().bytes, 1000 * 8);
     }
 
     #[test]
     fn oversized_entries_bypass() {
-        let c = SegmentCache::new(100);
-        c.insert((0, 0), seg(50, 1));
-        c.insert((0, 1), seg(101, 2)); // larger than the whole cap
+        let c = SegmentCache::new(800);
+        c.insert((0, 0), frame(50, 1));
+        c.insert((0, 1), frame(101, 2)); // 808 bytes: larger than the whole cap
         assert!(c.get((0, 1)).is_none());
         assert!(c.get((0, 0)).is_some(), "bypass must not evict anything");
         assert_eq!(c.stats().evictions, 0);
@@ -261,32 +314,32 @@ mod tests {
 
     #[test]
     fn duplicate_insert_keeps_incumbent_and_accounting() {
-        let c = SegmentCache::new(1000);
-        c.insert((3, 7), seg(100, 1));
-        c.insert((3, 7), seg(100, 2)); // racing reader's copy
-        assert_eq!(c.stats().bytes, 100, "one entry's bytes, not two");
+        let c = SegmentCache::new(8000);
+        c.insert((3, 7), frame(100, 1));
+        c.insert((3, 7), frame(100, 2)); // racing reader's copy
+        assert_eq!(c.stats().bytes, 800, "one entry's bytes, not two");
         assert_eq!(c.get((3, 7)).unwrap()[0], 1, "first insert wins");
     }
 
     #[test]
     fn clear_releases_bytes() {
-        let c = SegmentCache::new(1000);
-        c.insert((0, 0), seg(600, 1));
+        let c = SegmentCache::new(8000);
+        c.insert((0, 0), frame(600, 1));
         c.clear();
         assert_eq!(c.stats().bytes, 0);
         assert!(c.get((0, 0)).is_none());
-        c.insert((0, 1), seg(900, 2)); // full capacity is available again
-        assert_eq!(c.stats().bytes, 900);
+        c.insert((0, 1), frame(900, 2)); // full capacity is available again
+        assert_eq!(c.stats().bytes, 7200);
     }
 
     #[test]
     fn evicted_entries_stay_alive_for_holders() {
-        let c = SegmentCache::new(100);
-        c.insert((0, 0), seg(80, 7));
+        let c = SegmentCache::new(800);
+        c.insert((0, 0), frame(80, 7));
         let held = c.get((0, 0)).unwrap();
-        c.insert((0, 1), seg(80, 8)); // evicts (0,0)
+        c.insert((0, 1), frame(80, 8)); // evicts (0,0)
         assert!(c.get((0, 0)).is_none());
-        assert_eq!(held.len(), 80, "the Arc keeps evicted bytes alive");
+        assert_eq!(held.len(), 80, "the Arc keeps an evicted frame alive");
         assert!(held.iter().all(|&b| b == 7));
     }
 
@@ -294,7 +347,7 @@ mod tests {
     fn isolated_instances_do_not_share_counters() {
         let a = SegmentCache::isolated(1 << 20);
         let b = SegmentCache::isolated(1 << 20);
-        a.insert((1, 0), seg(64, 1));
+        a.insert((1, 0), frame(64, 1));
         assert!(a.get((1, 0)).is_some());
         assert!(b.get((1, 0)).is_none(), "no entry sharing");
         assert_eq!(a.stats().hits, 1);
@@ -305,7 +358,7 @@ mod tests {
     #[test]
     fn stats_since_subtracts_counters_keeps_gauges() {
         let c = SegmentCache::isolated(1 << 20);
-        c.insert((1, 0), seg(64, 1));
+        c.insert((1, 0), frame(8, 1));
         c.get((1, 9));
         let base = c.stats();
         c.get((1, 0));
@@ -348,8 +401,8 @@ mod tests {
                     for i in 0..50u64 {
                         let key = (1, i % 8);
                         match c.get(key) {
-                            Some(bytes) => assert_eq!(bytes.len(), 64),
-                            None => c.insert(key, Arc::new(vec![t as u8; 64])),
+                            Some(f) => assert_eq!(f.len(), 8),
+                            None => c.insert(key, frame(8, t)),
                         }
                     }
                 })

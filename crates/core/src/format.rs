@@ -164,7 +164,7 @@ impl IntervalRecord {
 pub const FRAME_MAX_ADDRS: u64 = 1 << 24;
 
 /// Validates a declared frame address count before anything is allocated.
-fn check_frame_addrs(n: u64) -> Result<usize> {
+pub(crate) fn check_frame_addrs(n: u64) -> Result<usize> {
     if n > FRAME_MAX_ADDRS {
         return Err(AtcError::Format(format!(
             "declared frame length {n} exceeds the {FRAME_MAX_ADDRS} address cap"
@@ -480,8 +480,12 @@ impl SeekTable {
                 )));
             }
             raw_starts.push(raw_start);
-            file_offset += s.compressed_len;
-            raw_start += s.raw_len;
+            let overflow =
+                || AtcError::Format(format!("seek table: segment {i} overflows the offsets"));
+            file_offset = file_offset
+                .checked_add(s.compressed_len)
+                .ok_or_else(overflow)?;
+            raw_start = raw_start.checked_add(s.raw_len).ok_or_else(overflow)?;
         }
         Ok(Self {
             segments,
@@ -596,7 +600,9 @@ impl SeekTable {
                 compressed_len,
                 raw_len,
             });
-            file_offset += compressed_len;
+            file_offset = file_offset
+                .checked_add(compressed_len)
+                .ok_or_else(|| bad("file offsets overflow"))?;
         }
         if !cur.is_empty() {
             return Err(bad("trailing bytes"));
@@ -1808,6 +1814,13 @@ mod tests {
         let body = read_net_frame(&mut cur).unwrap().unwrap();
         assert!(cur.is_empty(), "one frame, nothing after");
         NetResponse::decode(&body).unwrap()
+    }
+
+    #[test]
+    fn net_banner_is_the_seven_byte_atcnet1() {
+        // The banner is exactly these 7 bytes — no trailing newline.
+        assert_eq!(NET_MAGIC, *b"ATCNET1");
+        assert_eq!(NET_MAGIC.len(), 7);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use atc_engine::Engine;
 
 use crate::bytesort::BytesortInverse;
 use crate::error::{AtcError, Result};
-use crate::format::{self, FrameReadStats, IntervalRecord, Meta};
+use crate::format::{self, FrameReadStats, IntervalRecord, Meta, SeekTable};
 use crate::hist::{translate_addr, Translation, COLUMNS};
 
 /// Default number of decompressed chunks kept in memory.
@@ -41,12 +41,14 @@ pub struct ReadOptions {
     /// store) inject one so many readers share a worker set and isolated
     /// counters.
     pub engine: Option<Engine>,
-    /// Decoded-segment cache for lossless traces that carry a seek
-    /// sidecar. When set (usually to [`SegmentCache::global`]), payload
-    /// segments are decoded at most once per process while cached —
-    /// every reader of a hot trace reuses the others' decode work, and
-    /// [`AtcReader::seek`] lands on already-decoded segments for free.
-    /// Traces without a sidecar ignore this and read linearly.
+    /// Decoded-frame cache for lossless traces that carry a seek
+    /// sidecar. When set (usually to [`SegmentCache::global`]), the
+    /// reader is frame-granular: every bytesort-decoded frame is built at
+    /// most once per process while cached, so readers of a hot trace
+    /// reuse each other's decompression *and* bytesort inverse, and a
+    /// [`AtcReader::seek`] to a warm frame touches neither the codec nor
+    /// the payload file. Traces without a usable sidecar ignore this and
+    /// read linearly.
     pub segment_cache: Option<Arc<SegmentCache>>,
 }
 
@@ -61,13 +63,11 @@ impl Default for ReadOptions {
     }
 }
 
-/// A payload stream: decoded inline, through the readahead pipeline, or
-/// segment-at-a-time through the process-wide [`SegmentCache`].
+/// A payload stream: decoded inline or through the readahead pipeline.
 #[derive(Debug)]
 enum SegmentStream {
     Serial(CodecReader<BufReader<File>>),
     Readahead(ReadaheadReader),
-    Cached(CachedSegmentStream),
 }
 
 impl SegmentStream {
@@ -93,18 +93,14 @@ impl SegmentStream {
             Self::Serial(CodecReader::new(file, Arc::clone(codec)))
         })
     }
-}
 
-impl SegmentStream {
     /// Compressed segments this stream decoded since it was built (i.e.
     /// since open or the last seek). `None` for the readahead pipeline,
-    /// which does not track per-stream decode counts. Cache *hits* are
-    /// not decodes — a warm [`SegmentCache`] read reports 0.
+    /// which does not track per-stream decode counts.
     fn segments_decoded(&self) -> Option<u64> {
         match self {
             Self::Serial(r) => Some(r.segments_decoded()),
             Self::Readahead(_) => None,
-            Self::Cached(r) => Some(r.decoded),
         }
     }
 }
@@ -114,7 +110,6 @@ impl Read for SegmentStream {
         match self {
             Self::Serial(r) => r.read(buf),
             Self::Readahead(r) => r.read(buf),
-            Self::Cached(r) => r.read(buf),
         }
     }
 }
@@ -124,7 +119,6 @@ impl BufRead for SegmentStream {
         match self {
             Self::Serial(r) => r.fill_buf(),
             Self::Readahead(r) => r.fill_buf(),
-            Self::Cached(r) => r.fill_buf(),
         }
     }
 
@@ -132,147 +126,232 @@ impl BufRead for SegmentStream {
         match self {
             Self::Serial(r) => r.consume(amt),
             Self::Readahead(r) => r.consume(amt),
-            Self::Cached(r) => r.consume(amt),
         }
     }
 }
 
-/// A payload stream that decodes one segment at a time, sharing decoded
-/// bytes through a [`SegmentCache`]. Segment boundaries come from the
-/// seek sidecar, so the stream can start (and `seek_to_raw` restart) at
-/// any raw offset by decoding at most the one segment containing it.
+/// Where each lossless frame sits in the decoded payload, from `meta`
+/// alone. Every frame but the tail holds exactly `buffer` addresses, so
+/// its raw bytes are a fixed varint header plus eight columns and frame
+/// `k` starts at `k × full_raw` — one multiplication, no index of frame
+/// offsets.
+#[derive(Debug, Clone, Copy)]
+struct FrameGeometry {
+    buffer: u64,
+    count: u64,
+    /// Raw bytes of one full frame.
+    full_raw: u64,
+    /// Raw bytes of the whole payload.
+    total_raw: u64,
+}
+
+impl FrameGeometry {
+    fn new(meta: &Meta) -> Result<Self> {
+        let (buffer, count) = (meta.buffer, meta.count);
+        if buffer == 0 {
+            return Err(AtcError::Format(
+                "meta records buffer=0: frames are not addressable".into(),
+            ));
+        }
+        let frame_raw = |n: u64| n.checked_mul(8).and_then(|b| b.checked_add(varint_len(n)));
+        let tail = match count % buffer {
+            0 => Some(0),
+            rem => frame_raw(rem),
+        };
+        let full_raw = frame_raw(buffer);
+        let total_raw = full_raw
+            .and_then(|f| f.checked_mul(count / buffer))
+            .zip(tail)
+            .and_then(|(full, tail)| full.checked_add(tail));
+        match (full_raw, total_raw) {
+            (Some(full_raw), Some(total_raw)) => Ok(Self {
+                buffer,
+                count,
+                full_raw,
+                total_raw,
+            }),
+            _ => Err(AtcError::Format(format!(
+                "meta's {count} addresses in frames of {buffer} overflow the payload size"
+            ))),
+        }
+    }
+
+    /// Number of frames (the tail one may be partial).
+    fn frames(&self) -> u64 {
+        self.count.div_ceil(self.buffer)
+    }
+
+    /// Address number of frame `k`'s first address (`count` for the
+    /// one-past-the-end frame).
+    fn first_addr(&self, k: u64) -> u64 {
+        k.saturating_mul(self.buffer).min(self.count)
+    }
+
+    /// Addresses in frame `k` (`k < frames()`).
+    fn addrs(&self, k: u64) -> u64 {
+        self.buffer.min(self.count - self.first_addr(k))
+    }
+
+    /// Raw byte offset of frame `k` (`k <= frames()`, so every frame in
+    /// front of it is full unless `k` is the one-past-the-end frame).
+    fn raw_start(&self, k: u64) -> u64 {
+        if k == self.frames() {
+            self.total_raw
+        } else {
+            k * self.full_raw
+        }
+    }
+}
+
+/// The frame-granular lossless cursor behind a configured
+/// [`ReadOptions::segment_cache`]: frames come out of the shared cache
+/// when warm and are built from the one or more sidecar segments they
+/// span when cold, then inserted for every other reader.
+///
+/// A build's working memory (the compressed segment, a frame stitched
+/// across segments, the bytesort inverse) lives only for that build;
+/// between frames the cursor keeps just the last decompressed segment.
 #[derive(Debug)]
-struct CachedSegmentStream {
+struct FrameCursor {
     file: File,
+    /// Length of the payload file: the bound every sidecar extent is
+    /// checked against before a buffer is sized from it.
+    file_len: u64,
     codec: Arc<dyn Codec>,
-    table: format::SeekTable,
+    geometry: FrameGeometry,
     trace: u64,
     cache: Arc<SegmentCache>,
-    /// Decoded bytes of the segment currently being consumed.
-    current: Arc<Vec<u8>>,
-    /// Read position within `current`.
-    pos: usize,
-    /// Index of the next segment to load once `current` is drained.
-    next_seg: usize,
-    /// Segments actually decompressed (cache misses) by this stream.
+    /// Next frame number to hand out.
+    next: u64,
+    /// The frame last handed out.
+    current: Arc<[u64]>,
+    /// Index of the segment decompressed into `segment` (reader-private,
+    /// so a linear cold read decompresses each segment exactly once even
+    /// when frames straddle segment boundaries).
+    segment_idx: Option<usize>,
+    segment: Vec<u8>,
+    /// Segments decompressed by this cursor (cache hits decompress none).
     decoded: u64,
 }
 
-impl CachedSegmentStream {
-    fn new(
-        file: File,
-        codec: Arc<dyn Codec>,
-        table: format::SeekTable,
-        trace: u64,
-        cache: Arc<SegmentCache>,
-    ) -> Self {
-        Self {
-            file,
-            codec,
-            table,
-            trace,
-            cache,
-            current: Arc::new(Vec::new()),
-            pos: 0,
-            next_seg: 0,
-            decoded: 0,
+impl FrameCursor {
+    /// Moves to the next frame; `Ok(false)` past the last one.
+    fn advance(&mut self, table: &SeekTable) -> Result<bool> {
+        if self.next >= self.geometry.frames() {
+            return Ok(false);
         }
-    }
-
-    /// Fetches segment `idx` from the cache, decoding (and caching) it on
-    /// a miss.
-    fn load_segment(&mut self, idx: usize) -> std::io::Result<Arc<Vec<u8>>> {
-        let key = (self.trace, idx as u64);
-        if let Some(bytes) = self.cache.get(key) {
-            return Ok(bytes);
-        }
-        let rec = self.table.segments()[idx];
-        let framed = usize::try_from(rec.compressed_len)
-            .map_err(|_| invalid_data(format!("segment {idx} length overflows usize")))?;
-        let mut buf = vec![0u8; framed];
-        self.file.seek(SeekFrom::Start(rec.file_offset))?;
-        self.file.read_exact(&mut buf)?;
-        let mut cur = &buf[..];
-        let payload = varint::read_u64(&mut cur)? as usize;
-        if payload != cur.len() {
-            return Err(invalid_data(format!(
-                "segment {idx} frames {payload} payload bytes but the sidecar spans {}",
-                cur.len()
-            )));
-        }
-        let mut raw = Vec::with_capacity(rec.raw_len as usize);
-        self.codec
-            .decompress_into(cur, &mut raw)
-            .map_err(|e| invalid_data(format!("segment {idx}: {e}")))?;
-        if raw.len() as u64 != rec.raw_len {
-            return Err(invalid_data(format!(
-                "segment {idx} decoded to {} bytes, sidecar says {}",
-                raw.len(),
-                rec.raw_len
-            )));
-        }
-        self.decoded += 1;
-        let raw = Arc::new(raw);
-        self.cache.insert(key, Arc::clone(&raw));
-        Ok(raw)
-    }
-
-    /// Repositions the stream to `raw_offset` bytes into the decoded
-    /// payload, loading at most the one segment containing it.
-    fn seek_to_raw(&mut self, raw_offset: u64) -> std::io::Result<()> {
-        if raw_offset >= self.table.total_raw_bytes() {
-            self.current = Arc::new(Vec::new());
-            self.pos = 0;
-            self.next_seg = self.table.len();
-            return Ok(());
-        }
-        let idx = self
-            .table
-            .locate(raw_offset)
-            // atclint: allow(library-unwrap) -- infallible: the early
-            // return above handles raw_offset >= total_raw_bytes, and
-            // locate() covers every offset below that.
-            .expect("raw_offset below total_raw_bytes always lands in a segment");
-        self.current = self.load_segment(idx)?;
-        self.pos = (raw_offset - self.table.raw_start(idx)) as usize;
-        self.next_seg = idx + 1;
-        Ok(())
-    }
-}
-
-fn invalid_data(msg: String) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
-}
-
-impl Read for CachedSegmentStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = {
-            let avail = self.fill_buf()?;
-            let n = avail.len().min(buf.len());
-            buf[..n].copy_from_slice(&avail[..n]);
-            n
-        };
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl BufRead for CachedSegmentStream {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        while self.pos >= self.current.len() {
-            if self.next_seg >= self.table.len() {
-                return Ok(&[]);
+        let key = (self.trace, self.next);
+        self.current = match self.cache.get(key) {
+            Some(frame) => frame,
+            None => {
+                let frame = self.build(self.next, table)?;
+                self.cache.insert(key, Arc::clone(&frame));
+                frame
             }
-            let idx = self.next_seg;
-            self.current = self.load_segment(idx)?;
-            self.pos = 0;
-            self.next_seg = idx + 1;
-        }
-        Ok(&self.current[self.pos..])
+        };
+        self.next += 1;
+        Ok(true)
     }
 
-    fn consume(&mut self, amt: usize) {
-        self.pos = (self.pos + amt).min(self.current.len());
+    /// Builds frame `k` from the sidecar segments its raw bytes span.
+    /// Every segment is decompressed before the bytesort inverse
+    /// allocates, so a build never holds both at once.
+    fn build(&mut self, k: u64, table: &SeekTable) -> Result<Arc<[u64]>> {
+        let geo = self.geometry;
+        if table.total_raw_bytes() != geo.total_raw {
+            return Err(AtcError::Format(format!(
+                "seek sidecar spans {} raw bytes, but {} addresses in frames of {} need {}",
+                table.total_raw_bytes(),
+                geo.count,
+                geo.buffer,
+                geo.total_raw
+            )));
+        }
+        // The frame's size comes from meta, capped before anything is
+        // allocated for it; sidecar lengths only locate its bytes.
+        let n = format::check_frame_addrs(geo.addrs(k))?;
+        let len = varint_len(n as u64) as usize + COLUMNS * n;
+        let mut scratch = Vec::new();
+        let mut cur = self.raw(table, geo.raw_start(k), len, &mut scratch)?;
+        let declared = varint::read_u64(&mut cur)?;
+        if declared != n as u64 || cur.len() != COLUMNS * n {
+            return Err(AtcError::Format(format!(
+                "frame {k} declares {declared} addresses, meta implies {n}"
+            )));
+        }
+        let mut inverse = BytesortInverse::default();
+        inverse.begin(n);
+        for col in cur.chunks_exact(n.max(1)) {
+            inverse.push_column(col)?;
+        }
+        Ok(inverse.into_addrs()?.into())
+    }
+
+    /// The raw payload bytes `pos..pos + len`: borrowed from the segment
+    /// slot when one segment holds them all, else stitched together in
+    /// `scratch` across the segments they straddle (leaving the last of
+    /// them in the slot, where the next frame starts).
+    fn raw<'a>(
+        &'a mut self,
+        table: &SeekTable,
+        pos: u64,
+        len: usize,
+        scratch: &'a mut Vec<u8>,
+    ) -> Result<&'a [u8]> {
+        let mut off = self.seek_raw(table, pos)?;
+        if off + len > self.segment.len() {
+            scratch.clear();
+            // bounded: `len` is one frame of at most FRAME_MAX_ADDRS
+            // addresses, sized from meta (see `build`).
+            scratch.reserve(len);
+            loop {
+                let take = (len - scratch.len()).min(self.segment.len() - off);
+                scratch.extend_from_slice(&self.segment[off..off + take]);
+                if scratch.len() == len {
+                    return Ok(scratch);
+                }
+                off = self.seek_raw(table, pos + scratch.len() as u64)?;
+            }
+        }
+        Ok(&self.segment[off..off + len])
+    }
+
+    /// Loads the segment holding raw byte `pos` into the slot; returns
+    /// `pos`'s offset within it.
+    fn seek_raw(&mut self, table: &SeekTable, pos: u64) -> Result<usize> {
+        let idx = table.locate(pos).ok_or_else(|| {
+            AtcError::Format(format!("raw byte {pos} lies past the seek sidecar"))
+        })?;
+        if self.segment_idx != Some(idx) {
+            self.segment_idx = None;
+            self.load_segment(idx, table)?;
+            self.segment_idx = Some(idx);
+        }
+        Ok((pos - table.raw_start(idx)) as usize)
+    }
+
+    /// Decompresses segment `idx` into the slot.
+    fn load_segment(&mut self, idx: usize, table: &SeekTable) -> Result<()> {
+        let rec = table.segments()[idx];
+        let framed = rec
+            .file_offset
+            .checked_add(rec.compressed_len)
+            .filter(|&end| end <= self.file_len)
+            .map(|_| rec.compressed_len as usize)
+            .ok_or_else(|| {
+                AtcError::Format(format!(
+                    "sidecar segment {idx} at {}+{} runs past the {}-byte payload file",
+                    rec.file_offset, rec.compressed_len, self.file_len
+                ))
+            })?;
+        // bounded: framed <= file_len, checked above.
+        let mut packed = vec![0u8; framed];
+        self.file.seek(SeekFrom::Start(rec.file_offset))?;
+        self.file.read_exact(&mut packed)?;
+        decompress_segment(&self.codec, &packed, rec.raw_len, &mut self.segment)
+            .map_err(|msg| AtcError::Format(format!("segment {idx}: {msg}")))?;
+        self.decoded += 1;
+        Ok(())
     }
 }
 
@@ -306,6 +385,9 @@ pub struct AtcReader {
     dir: PathBuf,
     codec: Arc<dyn Codec>,
     state: State,
+    /// The seek sidecar, loaded and validated once at open (`None` for
+    /// lossy traces and for lossless ones without a usable sidecar).
+    sidecar: Option<SeekTable>,
     /// Decoded values not yet handed out.
     pending: VecDeque<u64>,
     produced: u64,
@@ -315,6 +397,8 @@ pub struct AtcReader {
     /// Frame buffer for [`AtcReader::next_frame`] when the frame cannot
     /// be borrowed (lossy intervals, values buffered by `decode`).
     frame: Vec<u64>,
+    /// Where the frame last handed out by `next_frame` lives.
+    slot: FrameSlot,
     /// Scratch for columns that straddle a segment boundary.
     col_scratch: Vec<u8>,
     frame_stats: FrameReadStats,
@@ -328,7 +412,6 @@ pub struct AtcReader {
     /// can rebuild the payload stream the way it was opened.
     threads: usize,
     engine: Option<Engine>,
-    segment_cache: Option<Arc<SegmentCache>>,
     /// Set by [`AtcReader::decode_all_flat`]: the payload was consumed
     /// out of band, so the streaming paths must report end of trace
     /// instead of re-decoding the (unconsumed) underlying stream.
@@ -342,6 +425,8 @@ enum State {
     Lossless {
         stream: SegmentStream,
     },
+    /// Lossless with a segment cache and a usable sidecar.
+    Framed(FrameCursor),
     Lossy {
         info: CodecReader<BufReader<File>>,
         cache: ChunkCache,
@@ -396,30 +481,40 @@ impl AtcReader {
         );
         let threads = options.threads.max(1);
         let engine = options.engine.clone();
-        let segment_cache = options.segment_cache.clone();
+        let mut sidecar = None;
         let state = match meta.mode.as_str() {
-            "lossless" => State::Lossless {
-                stream: match segment_cache
+            "lossless" => {
+                sidecar = load_seek_table(&dir, &meta);
+                let data_path = dir.join(format::DATA_FILE);
+                let framed = options
+                    .segment_cache
                     .as_ref()
-                    .and_then(|cache| Some((cache, load_seek_table(&dir, &meta)?)))
-                {
-                    Some((cache, table)) => SegmentStream::Cached(CachedSegmentStream::new(
-                        File::open(dir.join(format::DATA_FILE))?,
-                        Arc::clone(&codec),
-                        table,
-                        trace_id(&dir),
-                        Arc::clone(cache),
-                    )),
+                    .filter(|_| sidecar.is_some())
+                    .and_then(|cache| Some((cache, FrameGeometry::new(&meta).ok()?)));
+                match framed {
+                    Some((cache, geometry)) => {
+                        let file = File::open(&data_path)?;
+                        State::Framed(FrameCursor {
+                            file_len: file.metadata()?.len(),
+                            file,
+                            codec: Arc::clone(&codec),
+                            geometry,
+                            trace: trace_id(&dir),
+                            cache: Arc::clone(cache),
+                            next: 0,
+                            current: Arc::new([]),
+                            segment_idx: None,
+                            segment: Vec::new(),
+                            decoded: 0,
+                        })
+                    }
                     // No cache requested, or no usable sidecar to cut
-                    // segments with: plain streaming decode.
-                    None => SegmentStream::open(
-                        &dir.join(format::DATA_FILE),
-                        &codec,
-                        threads,
-                        engine.as_ref(),
-                    )?,
-                },
-            },
+                    // frames with: plain streaming decode.
+                    None => State::Lossless {
+                        stream: SegmentStream::open(&data_path, &codec, threads, engine.as_ref())?,
+                    },
+                }
+            }
             "lossy" => {
                 let file = BufReader::new(File::open(dir.join(format::INFO_FILE))?);
                 State::Lossy {
@@ -438,16 +533,17 @@ impl AtcReader {
             dir,
             codec,
             state,
+            sidecar,
             pending: VecDeque::new(),
             produced: 0,
             inverse: BytesortInverse::default(),
             frame: Vec::new(),
+            slot: FrameSlot::Empty,
             col_scratch: Vec::new(),
             frame_stats: FrameReadStats::default(),
             poisoned: None,
             threads,
             engine,
-            segment_cache,
             exhausted: false,
             warned_linear: false,
         })
@@ -466,6 +562,7 @@ impl AtcReader {
     /// Propagates I/O, codec, and format errors.
     pub fn decode(&mut self) -> Result<Option<u64>> {
         self.check_poisoned()?;
+        self.slot = FrameSlot::Empty;
         let result = self.decode_inner();
         if let Err(e) = &result {
             self.poisoned = Some(e.to_string());
@@ -488,16 +585,19 @@ impl AtcReader {
 
     /// Decodes the next whole frame — one bytesort buffer (lossless mode)
     /// or one interval (lossy mode) — and hands it out as a borrowed
-    /// slice, valid until the next call on this reader.
+    /// slice, valid until the next call on this reader (and readable
+    /// again through [`AtcReader::current_frame`] until then).
     ///
     /// This is the zero-copy bulk path: in lossless mode, columns are fed
     /// to the bytesort inverse straight out of the stream's decoded
     /// segment buffer (the readahead reassembly buffer when
     /// [`ReadOptions::threads`] > 1) instead of first being copied through
     /// `Read::read` into an owned buffer — [`AtcReader::frame_stats`]
-    /// counts borrowed vs copied column bytes. Lossy intervals are
-    /// materialized through the chunk cache as before (translations must
-    /// rewrite the bytes anyway).
+    /// counts borrowed vs copied column bytes. With a
+    /// [`ReadOptions::segment_cache`], a warm frame is the cached decoded
+    /// frame itself: no decompression, no inverse, no copy. Lossy
+    /// intervals are materialized through the chunk cache as before
+    /// (translations must rewrite the bytes anyway).
     ///
     /// `next_frame` and [`AtcReader::decode`] may be interleaved: values
     /// already buffered by `decode` are drained (as one frame) before the
@@ -512,14 +612,33 @@ impl AtcReader {
     /// Propagates I/O, codec, and format errors.
     pub fn next_frame(&mut self) -> Result<Option<&[u64]>> {
         self.check_poisoned()?;
+        self.slot = FrameSlot::Empty;
         match self.next_frame_inner() {
-            Ok(Some(FrameSlot::Inverse)) => Ok(Some(self.inverse.finish()?)),
-            Ok(Some(FrameSlot::Buffer)) => Ok(Some(&self.frame)),
+            Ok(Some(slot)) => {
+                self.slot = slot;
+                Ok(Some(self.current_frame()))
+            }
             Ok(None) => Ok(None),
             Err(e) => {
                 self.poisoned = Some(e.to_string());
                 Err(e)
             }
+        }
+    }
+
+    /// The frame the last call on this reader returned from
+    /// [`AtcReader::next_frame`]; empty when that call returned `None` or
+    /// failed, or when the last call was anything else (`decode`, `seek`).
+    ///
+    /// Lets a caller that drives many readers at once — the sharded
+    /// store's merge — keep consuming each reader's current frame in
+    /// place instead of copying it out.
+    pub fn current_frame(&self) -> &[u64] {
+        match (&self.slot, &self.state) {
+            (FrameSlot::Inverse, _) => self.inverse.finish().unwrap_or(&[]),
+            (FrameSlot::Buffer, _) => &self.frame,
+            (FrameSlot::Cursor, State::Framed(cursor)) => &cursor.current,
+            _ => &[],
         }
     }
 
@@ -550,6 +669,17 @@ impl AtcReader {
                 )? {
                     self.produced += self.inverse.finish()?.len() as u64;
                     Ok(Some(FrameSlot::Inverse))
+                } else {
+                    self.check_complete()?;
+                    Ok(None)
+                }
+            }
+            State::Framed(cursor) => {
+                let table = framed_sidecar(&self.sidecar)?;
+                if cursor.advance(table)? {
+                    self.produced += cursor.current.len() as u64;
+                    self.frame_stats.frames += 1;
+                    Ok(Some(FrameSlot::Cursor))
                 } else {
                     self.check_complete()?;
                     Ok(None)
@@ -604,6 +734,8 @@ impl AtcReader {
     pub fn decode_all(&mut self) -> Result<Vec<u64>> {
         // The header's count is untrusted until the trace is fully read,
         // so cap the header-driven preallocation.
+        // bounded: at most 16 Mi addresses up front; the rest grows as
+        // values decode.
         let remaining = self.meta.count.saturating_sub(self.produced);
         let mut out = Vec::with_capacity(remaining.min(1 << 24) as usize);
         while let Some(v) = self.decode()? {
@@ -626,15 +758,17 @@ impl AtcReader {
     /// existed still work: the reader warns once on stderr and falls
     /// back to a linear decode-and-discard up to the target.
     ///
+    /// With a [`ReadOptions::segment_cache`] the seek only records the
+    /// target; the next [`AtcReader::next_frame`] serves the frame from
+    /// the cache, or builds it from the one or two segments it spans.
+    ///
     /// Seeking is frame-granular because frames are the compression
     /// unit; callers wanting address granularity seek to
-    /// `addr / meta.buffer` and discard `addr % meta.buffer` values.
-    /// Seeking to the one-past-the-end frame is allowed and behaves like
-    /// a fully drained reader. After a seek the payload decodes on the
-    /// calling thread ([`ReadOptions::threads`] accelerates linear
-    /// scans, which a seek is not); the [`ReadOptions::segment_cache`],
-    /// when configured, is consulted so repeated seeks into hot
-    /// segments skip even the one decode.
+    /// `addr / meta.buffer` and skip `addr % meta.buffer` values of the
+    /// next frame. Seeking to the one-past-the-end frame is allowed and
+    /// behaves like a fully drained reader. After a seek the payload
+    /// decodes on the calling thread ([`ReadOptions::threads`]
+    /// accelerates linear scans, which a seek is not).
     ///
     /// # Errors
     ///
@@ -643,6 +777,7 @@ impl AtcReader {
     /// I/O/codec/format errors. Errors latch like every other path.
     pub fn seek(&mut self, frame_no: u64) -> Result<()> {
         self.check_poisoned()?;
+        self.slot = FrameSlot::Empty;
         let result = self.seek_inner(frame_no);
         if let Err(e) = &result {
             self.poisoned = Some(e.to_string());
@@ -651,117 +786,69 @@ impl AtcReader {
     }
 
     fn seek_inner(&mut self, frame_no: u64) -> Result<()> {
-        if !matches!(self.state, State::Lossless { .. }) {
+        if matches!(self.state, State::Lossy { .. }) {
             return Err(AtcError::Format(
                 "seek requires a lossless trace: lossy intervals are not frame-addressable".into(),
             ));
         }
-        let buffer = self.meta.buffer;
-        if buffer == 0 {
-            return Err(AtcError::Format(
-                "meta records buffer=0: cannot seek".into(),
-            ));
-        }
-        let past_end = || {
-            AtcError::Format(format!(
+        let geo = FrameGeometry::new(&self.meta)?;
+        if frame_no > geo.frames() {
+            return Err(AtcError::Format(format!(
                 "seek target frame {frame_no} is past the end of the trace \
-                 ({} addresses in frames of {buffer})",
-                self.meta.count
-            ))
-        };
-        let total_frames = self.meta.count.div_ceil(buffer);
-        if frame_no > total_frames {
-            return Err(past_end());
+                 ({} addresses in frames of {})",
+                geo.count, geo.buffer
+            )));
         }
-        let target_value = frame_no
-            .checked_mul(buffer)
-            .ok_or_else(past_end)?
-            .min(self.meta.count);
-        // Every frame before the target is full (exactly `buffer`
-        // addresses), so its raw frame bytes are a fixed
-        // varint-header-plus-columns size and the target's raw offset is
-        // one multiplication — no index of frame offsets is needed. The
-        // one-past-the-end frame accounts for a partial tail frame.
-        let frame_raw = varint_len(buffer)
-            .checked_add(buffer.checked_mul(8).ok_or_else(past_end)?)
-            .ok_or_else(past_end)?;
-        let target_raw = if frame_no == total_frames {
-            let rem = self.meta.count % buffer;
-            let tail = if rem > 0 {
-                varint_len(rem) + 8 * rem
-            } else {
-                0
-            };
-            (self.meta.count / buffer)
-                .checked_mul(frame_raw)
-                .and_then(|v| v.checked_add(tail))
-                .ok_or_else(past_end)?
-        } else {
-            frame_no.checked_mul(frame_raw).ok_or_else(past_end)?
-        };
-
+        let target_raw = geo.raw_start(frame_no);
         self.pending.clear();
         self.exhausted = false;
-        let table = load_seek_table(&self.dir, &self.meta);
-        if table.is_none() {
+        if self.sidecar.is_none() {
             self.warn_linear_fallback();
         }
-        let threads = self.threads;
-        let engine = self.engine.clone();
         let data_path = self.dir.join(format::DATA_FILE);
-        let State::Lossless { stream } = &mut self.state else {
-            unreachable!("checked above");
-        };
-        match table {
-            Some(table) => {
+        match (&mut self.state, &self.sidecar) {
+            (State::Framed(cursor), _) => cursor.next = frame_no,
+            (State::Lossless { stream }, Some(table)) => {
                 if target_raw > table.total_raw_bytes() {
                     return Err(AtcError::Format(format!(
                         "seek sidecar spans {} raw bytes but frame {frame_no} starts at {target_raw}",
                         table.total_raw_bytes()
                     )));
                 }
-                if let Some(cache) = &self.segment_cache {
-                    let mut cached = CachedSegmentStream::new(
-                        File::open(&data_path)?,
-                        Arc::clone(&self.codec),
-                        table,
-                        trace_id(&self.dir),
-                        Arc::clone(cache),
-                    );
-                    cached.seek_to_raw(target_raw)?;
-                    *stream = SegmentStream::Cached(cached);
-                } else {
-                    let mut file = File::open(&data_path)?;
-                    let (file_offset, in_segment) = match table.locate(target_raw) {
-                        Some(idx) => (
-                            table.segments()[idx].file_offset,
-                            target_raw - table.raw_start(idx),
-                        ),
-                        // Exactly at end of payload: park on the
-                        // end-of-stream marker after the last segment.
-                        None => {
-                            let end = table
-                                .segments()
-                                .last()
-                                .map_or(0, |s| s.file_offset + s.compressed_len);
-                            (end, 0)
-                        }
-                    };
-                    file.seek(SeekFrom::Start(file_offset))?;
-                    let mut reader =
-                        CodecReader::new(BufReader::new(file), Arc::clone(&self.codec));
-                    skip_raw(&mut reader, in_segment)?;
-                    *stream = SegmentStream::Serial(reader);
-                }
+                let (file_offset, in_segment) = match table.locate(target_raw) {
+                    Some(idx) => (
+                        table.segments()[idx].file_offset,
+                        target_raw - table.raw_start(idx),
+                    ),
+                    // Exactly at end of payload: park on the end-of-stream
+                    // marker after the last segment.
+                    None => {
+                        let end = table
+                            .segments()
+                            .last()
+                            .map_or(0, |s| s.file_offset + s.compressed_len);
+                        (end, 0)
+                    }
+                };
+                let mut file = File::open(&data_path)?;
+                file.seek(SeekFrom::Start(file_offset))?;
+                let mut reader = CodecReader::new(BufReader::new(file), Arc::clone(&self.codec));
+                skip_raw(&mut reader, in_segment)?;
+                *stream = SegmentStream::Serial(reader);
             }
-            None => {
-                let mut fresh =
-                    SegmentStream::open(&data_path, &self.codec, threads, engine.as_ref())?;
+            (State::Lossless { stream }, None) => {
+                let mut fresh = SegmentStream::open(
+                    &data_path,
+                    &self.codec,
+                    self.threads,
+                    self.engine.as_ref(),
+                )?;
                 skip_raw(&mut fresh, target_raw)?;
                 *stream = fresh;
             }
+            (State::Lossy { .. }, _) => unreachable!("rejected above"),
         }
-        self.produced = target_value;
+        self.produced = geo.first_addr(frame_no);
         Ok(())
     }
 
@@ -784,84 +871,48 @@ impl AtcReader {
     /// Propagates I/O, codec, and format errors; errors latch.
     pub fn decode_all_flat(&mut self) -> Result<Vec<u64>> {
         self.check_poisoned()?;
-        if !matches!(self.state, State::Lossless { .. })
+        self.slot = FrameSlot::Empty;
+        if matches!(self.state, State::Lossy { .. })
             || self.produced != 0
             || !self.pending.is_empty()
             || self.exhausted
         {
             return self.decode_all();
         }
-        let Some(table) = load_seek_table(&self.dir, &self.meta) else {
+        let Some(table) = &self.sidecar else {
             self.warn_linear_fallback();
             return self.decode_all();
         };
-        let result = self.decode_all_flat_inner(&table);
+        let engine = match &self.engine {
+            Some(e) => e.clone(),
+            None => Engine::global_with(self.threads),
+        };
+        let result = match decode_flat(&self.dir, &self.codec, &engine, table, &self.meta) {
+            Ok(out) => {
+                self.produced = out.len() as u64;
+                self.exhausted = true;
+                self.check_complete().map(|()| out)
+            }
+            Err(e) => Err(e),
+        };
         if let Err(e) = &result {
             self.poisoned = Some(e.to_string());
         }
         result
     }
 
-    fn decode_all_flat_inner(&mut self, table: &format::SeekTable) -> Result<Vec<u64>> {
-        let data = std::fs::read(self.dir.join(format::DATA_FILE))?;
-        let raw_total = usize::try_from(table.total_raw_bytes())
-            .map_err(|_| AtcError::Format("sidecar raw size overflows usize".into()))?;
-        let mut raw = vec![0u8; raw_total];
-        // Carve the flat buffer into per-segment output slices: the
-        // sidecar's raw lengths are contiguous from zero by construction.
-        let mut slices = Vec::with_capacity(table.len());
-        let mut rest = raw.as_mut_slice();
-        for seg in table.segments() {
-            let raw_len = usize::try_from(seg.raw_len)
-                .map_err(|_| AtcError::Format("segment raw size overflows usize".into()))?;
-            let (head, tail) = rest.split_at_mut(raw_len);
-            slices.push(head);
-            rest = tail;
-        }
-        let errors: Vec<Mutex<Option<String>>> =
-            table.segments().iter().map(|_| Mutex::new(None)).collect();
-        let engine = match &self.engine {
-            Some(e) => e.clone(),
-            None => Engine::global_with(self.threads),
-        };
-        let codec = &self.codec;
-        let data = &data;
-        engine.scope(|scope| {
-            for ((seg, out), slot) in table.segments().iter().zip(slices).zip(&errors) {
-                let codec = Arc::clone(codec);
-                let seg = *seg;
-                scope.spawn(move || {
-                    if let Err(msg) = decode_segment_into(&codec, data, &seg, out) {
-                        *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(msg);
-                    }
-                });
-            }
-        });
-        for slot in &errors {
-            if let Some(msg) = slot.lock().unwrap_or_else(|p| p.into_inner()).take() {
-                return Err(AtcError::Format(msg));
-            }
-        }
-        let mut cur: &[u8] = &raw;
-        let mut out = Vec::with_capacity(self.meta.count.min(1 << 24) as usize);
-        while let Some(frame) = format::read_frame(&mut cur)? {
-            out.extend(frame);
-        }
-        self.produced = out.len() as u64;
-        self.exhausted = true;
-        self.check_complete()?;
-        Ok(out)
-    }
-
-    /// Compressed segments decoded by the current payload stream (since
-    /// open or the last [`AtcReader::seek`]): `None` for lossy traces
-    /// and the readahead pipeline, which do not track it. This is the
+    /// Compressed segments decompressed by this reader's payload path:
+    /// since open or the last [`AtcReader::seek`] for the streaming
+    /// paths, since open for a [`ReadOptions::segment_cache`] reader
+    /// (whose cache hits decompress nothing). `None` for lossy traces and
+    /// the readahead pipeline, which do not track it. This is the
     /// observable behind seek's O(1)-decode promise — after a seek,
-    /// reading one frame costs at most one segment decode (zero when
-    /// the segment cache is warm).
+    /// reading one frame costs at most the segments that frame spans
+    /// (zero when the frame cache is warm).
     pub fn segments_decoded(&self) -> Option<u64> {
         match &self.state {
             State::Lossless { stream } => stream.segments_decoded(),
+            State::Framed(cursor) => Some(cursor.decoded),
             State::Lossy { .. } => None,
         }
     }
@@ -891,6 +942,14 @@ impl AtcReader {
                 }
                 None => Ok(false),
             },
+            State::Framed(cursor) => {
+                let table = framed_sidecar(&self.sidecar)?;
+                if !cursor.advance(table)? {
+                    return Ok(false);
+                }
+                self.pending.extend(cursor.current.iter().copied());
+                Ok(true)
+            }
             State::Lossy { info, cache } => {
                 let Some(record) = IntervalRecord::read(info)? else {
                     return Ok(false);
@@ -902,12 +961,20 @@ impl AtcReader {
     }
 }
 
+/// The sidecar a [`State::Framed`] reader was opened with (always
+/// present: open only picks the frame cursor when it loaded one).
+fn framed_sidecar(sidecar: &Option<SeekTable>) -> Result<&SeekTable> {
+    sidecar
+        .as_ref()
+        .ok_or_else(|| AtcError::Format("frame cursor opened without a seek sidecar".into()))
+}
+
 /// Loads and validates the trace's seek sidecar; `None` means "no usable
 /// sidecar" (absent, unreadable, malformed, or disagreeing with `meta`) —
 /// the caller falls back to linear decoding, it is never a hard error.
-fn load_seek_table(dir: &Path, meta: &Meta) -> Option<format::SeekTable> {
+fn load_seek_table(dir: &Path, meta: &Meta) -> Option<SeekTable> {
     let bytes = std::fs::read(dir.join(format::SEEK_FILE)).ok()?;
-    let table = format::SeekTable::decode(&bytes).ok()?;
+    let table = SeekTable::decode(&bytes).ok()?;
     if let Some(n) = meta.seek_segments {
         if n != table.len() as u64 {
             return None;
@@ -933,10 +1000,103 @@ fn skip_raw<R: Read>(r: &mut R, n: u64) -> Result<()> {
     Ok(())
 }
 
-/// Decompresses one sidecar-described segment of `data` into its slice of
-/// the flat output buffer (the [`AtcReader::decode_all_flat`] worker).
-/// Returns the error as a message so workers on different threads can
+/// Decompresses one framed segment (`varint(payload_len) ++ payload`, as
+/// the sidecar delimits it) into `out`, which must come out exactly
+/// `raw_len` bytes. Returns the error as a message so engine workers can
 /// report through a plain slot.
+fn decompress_segment(
+    codec: &Arc<dyn Codec>,
+    framed: &[u8],
+    raw_len: u64,
+    out: &mut Vec<u8>,
+) -> std::result::Result<(), String> {
+    let mut cur = framed;
+    let payload = varint::read_u64(&mut cur).map_err(|e| e.to_string())?;
+    if payload != cur.len() as u64 {
+        return Err(format!(
+            "segment frames {payload} payload bytes but the sidecar spans {}",
+            cur.len()
+        ));
+    }
+    out.clear();
+    codec.decompress_into(cur, out).map_err(|e| e.to_string())?;
+    if out.len() as u64 != raw_len {
+        return Err(format!(
+            "segment decoded to {} bytes, sidecar says {raw_len}",
+            out.len()
+        ));
+    }
+    Ok(())
+}
+
+/// The [`AtcReader::decode_all_flat`] body: every sidecar segment
+/// decompresses into its slice of one flat raw buffer as a single engine
+/// scope, then the frames are parsed out of it in order.
+fn decode_flat(
+    dir: &Path,
+    codec: &Arc<dyn Codec>,
+    engine: &Engine,
+    table: &SeekTable,
+    meta: &Meta,
+) -> Result<Vec<u64>> {
+    let expected = FrameGeometry::new(meta)?.total_raw;
+    if table.total_raw_bytes() != expected {
+        return Err(AtcError::Format(format!(
+            "seek sidecar spans {} raw bytes, but meta's {} addresses need {expected}",
+            table.total_raw_bytes(),
+            meta.count
+        )));
+    }
+    let data = std::fs::read(dir.join(format::DATA_FILE))?;
+    let raw_total = usize::try_from(expected)
+        .map_err(|_| AtcError::Format("sidecar raw size overflows usize".into()))?;
+    // bounded: the payload's raw size as meta's count and buffer give it
+    // (the sidecar was checked to agree above) — what a full decode
+    // produces anyway.
+    let mut raw = vec![0u8; raw_total];
+    // Carve the flat buffer into per-segment output slices: the
+    // sidecar's raw lengths are contiguous from zero by construction.
+    // bounded: one slice per sidecar segment, each at least one byte of
+    // the flat buffer sized above.
+    let mut slices = Vec::with_capacity(table.len());
+    let mut rest = raw.as_mut_slice();
+    for seg in table.segments() {
+        let raw_len = usize::try_from(seg.raw_len)
+            .map_err(|_| AtcError::Format("segment raw size overflows usize".into()))?;
+        let (head, tail) = rest.split_at_mut(raw_len);
+        slices.push(head);
+        rest = tail;
+    }
+    let errors: Vec<Mutex<Option<String>>> =
+        table.segments().iter().map(|_| Mutex::new(None)).collect();
+    let data = &data;
+    engine.scope(|scope| {
+        for ((seg, out), slot) in table.segments().iter().zip(slices).zip(&errors) {
+            let codec = Arc::clone(codec);
+            let seg = *seg;
+            scope.spawn(move || {
+                if let Err(msg) = decode_segment_into(&codec, data, &seg, out) {
+                    *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(msg);
+                }
+            });
+        }
+    });
+    for slot in &errors {
+        if let Some(msg) = slot.lock().unwrap_or_else(|p| p.into_inner()).take() {
+            return Err(AtcError::Format(msg));
+        }
+    }
+    let mut cur: &[u8] = &raw;
+    // bounded: capped at 16 Mi addresses; the rest grows as frames parse.
+    let mut out = Vec::with_capacity(meta.count.min(1 << 24) as usize);
+    while let Some(frame) = format::read_frame(&mut cur)? {
+        out.extend(frame);
+    }
+    Ok(out)
+}
+
+/// Decompresses one sidecar-described segment of `data` into its slice of
+/// the flat output buffer (the [`decode_flat`] worker).
 fn decode_segment_into(
     codec: &Arc<dyn Codec>,
     data: &[u8],
@@ -945,7 +1105,7 @@ fn decode_segment_into(
 ) -> std::result::Result<(), String> {
     let start = usize::try_from(seg.file_offset).map_err(|_| "segment offset overflow")?;
     let len = usize::try_from(seg.compressed_len).map_err(|_| "segment length overflow")?;
-    let mut cur = data
+    let framed = data
         .get(start..start.checked_add(len).ok_or("segment extent overflow")?)
         .ok_or_else(|| {
             format!(
@@ -953,24 +1113,8 @@ fn decode_segment_into(
                 data.len()
             )
         })?;
-    let payload = varint::read_u64(&mut cur).map_err(|e| e.to_string())? as usize;
-    if payload != cur.len() {
-        return Err(format!(
-            "segment frames {payload} payload bytes but the sidecar spans {}",
-            cur.len()
-        ));
-    }
-    let mut raw = Vec::with_capacity(out.len());
-    codec
-        .decompress_into(cur, &mut raw)
-        .map_err(|e| e.to_string())?;
-    if raw.len() != out.len() {
-        return Err(format!(
-            "segment decoded to {} bytes, sidecar says {}",
-            raw.len(),
-            out.len()
-        ));
-    }
+    let mut raw = Vec::new();
+    decompress_segment(codec, framed, out.len() as u64, &mut raw)?;
     out.copy_from_slice(&raw);
     Ok(())
 }
@@ -1015,11 +1159,16 @@ fn materialize_interval<C: Extend<u64>>(
 }
 
 /// Where [`AtcReader::next_frame`] left the decoded frame.
+#[derive(Debug)]
 enum FrameSlot {
+    /// No frame is current (see [`AtcReader::current_frame`]).
+    Empty,
     /// In the bytesort inverse's output buffer (borrowed lossless path).
     Inverse,
     /// In the reader's own frame buffer (lossy / interleave path).
     Buffer,
+    /// The frame cursor's current cached frame.
+    Cursor,
 }
 
 /// Iterator over decoded values (see [`AtcReader::values`]).
@@ -1663,30 +1812,55 @@ mod tests {
         let addrs: Vec<u64> = (0..200_000u64).map(|i| i.wrapping_mul(0x517C)).collect();
         let dir = tmp("cached-reads");
         write_segmented(&dir, &addrs, "lz", 1000);
+        let frames = 200u64;
+        let meta =
+            Meta::parse(&std::fs::read_to_string(dir.join(format::META_FILE)).unwrap()).unwrap();
+        let table = load_seek_table(&dir, &meta).expect("sidecar written");
+        assert!(table.len() >= 2, "multi-segment trace");
+        // 8002-byte frames never tile a segment exactly: some frame
+        // straddles every boundary.
+        let frame_raw = FrameGeometry::new(&meta).unwrap().full_raw;
+        assert!((1..table.len()).all(|i| !table.raw_start(i).is_multiple_of(frame_raw)));
         let cache = Arc::new(SegmentCache::new(64 << 20));
         let with_cache = || ReadOptions {
             segment_cache: Some(Arc::clone(&cache)),
             ..ReadOptions::default()
         };
 
-        // Cold pass decodes and populates; warm pass must read the very
-        // same bytes out of the cache without decoding anything.
+        // Cold linear pass: one frame lookup (a miss) per frame, and every
+        // sidecar segment decompressed exactly once — straddled ones too.
         let mut cold = AtcReader::open_with(&dir, with_cache()).unwrap();
         assert_eq!(cold.decode_all().unwrap(), addrs);
-        let decoded_cold = cold.segments_decoded().unwrap();
-        assert!(decoded_cold >= 2, "multi-segment trace");
-        assert_eq!(cache.stats().hits, 0);
+        assert_eq!(cold.segments_decoded(), Some(table.len() as u64));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (0, frames));
+        assert_eq!(
+            stats.bytes,
+            addrs.len() as u64 * 8,
+            "8 bytes per cached address"
+        );
 
+        // Warm pass: the very same frames out of the cache, one hit per
+        // frame read and not a single segment decompressed.
         let mut warm = AtcReader::open_with(&dir, with_cache()).unwrap();
-        assert_eq!(warm.decode_all().unwrap(), addrs);
-        assert_eq!(warm.segments_decoded(), Some(0), "every segment was cached");
-        assert_eq!(cache.stats().hits, decoded_cold);
+        let mut got = Vec::new();
+        let mut read = 0u64;
+        while let Some(frame) = warm.next_frame().unwrap() {
+            got.extend_from_slice(frame);
+            read += 1;
+        }
+        assert_eq!(got, addrs);
+        assert_eq!(read, frames);
+        assert_eq!(warm.segments_decoded(), Some(0), "every frame was cached");
+        assert_eq!(cache.stats().hits, frames);
+        assert_eq!(cache.stats().misses, frames, "no new misses");
 
-        // Warm seeks decode nothing either.
+        // Warm seeks decode nothing either: one lookup, one hit.
         let mut seeker = AtcReader::open_with(&dir, with_cache()).unwrap();
         seeker.seek(150).unwrap();
         assert_eq!(seeker.decode().unwrap(), Some(addrs[150_000]));
         assert_eq!(seeker.segments_decoded(), Some(0));
+        assert_eq!(cache.stats().hits, frames + 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

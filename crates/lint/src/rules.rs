@@ -432,7 +432,9 @@ lines above. Suppression: `// atclint: allow(naked-notify) -- why`.",
         id: "wire-alloc",
         summary: "non-literal-length allocations in net/format need a `bounded:` annotation",
         explain: "\
-Invariant: in `crates/net` and `crates/core/src/format.rs`, any
+Invariant: in `crates/net`, `crates/core/src/format.rs` and
+`crates/core/src/reader.rs` (which sizes buffers from `meta` and the
+seek sidecar), any
 allocation sized by a runtime value — `with_capacity(n)`,
 `vec![x; n]`, `resize(n, …)`, `reserve(n)` with non-literal `n` —
 carries an adjacent comment containing `bounded:` stating the bound
@@ -444,8 +446,9 @@ protects frames whose allocation actually follows a check; the
 annotation makes 'where is the check?' a lint question instead of a
 review question.
 
-Scope: crates/net/src and crates/core/src/format.rs; test regions
-exempt. Integer-literal lengths are always fine.
+Scope: crates/net/src, crates/core/src/format.rs and
+crates/core/src/reader.rs; test regions exempt. Integer-literal
+lengths are always fine.
 Annotation: comment containing `bounded:` on the line or within 4
 lines above. Suppression: `// atclint: allow(wire-alloc) -- why`.",
         check: check_wire_alloc,
@@ -642,7 +645,8 @@ fn wire_alloc_in_scope(ctx: &FileContext<'_>) -> bool {
     match &ctx.kind {
         FileKind::LibrarySrc { crate_name } if crate_name == "net" => true,
         FileKind::LibrarySrc { crate_name } if crate_name == "core" => {
-            ctx.path.replace('\\', "/").ends_with("src/format.rs")
+            let path = ctx.path.replace('\\', "/");
+            path.ends_with("src/format.rs") || path.ends_with("src/reader.rs")
         }
         _ => false,
     }

@@ -191,6 +191,7 @@ pub fn f(n: usize) -> Vec<u8> {
 "#;
     assert_eq!(findings("crates/net/src/helper.rs", bad), ["wire-alloc:3"]);
     assert_eq!(findings("crates/core/src/format.rs", bad), ["wire-alloc:3"]);
+    assert_eq!(findings("crates/core/src/reader.rs", bad), ["wire-alloc:3"]);
     // Non-wire library code allocates freely.
     assert!(findings("crates/x/src/lib.rs", bad).is_empty());
 

@@ -1,6 +1,6 @@
 //! In-process loopback harness: one server, many concurrent clients,
 //! every reply byte-identical to the local reader, and the shared
-//! segment cache proving cross-connection reuse.
+//! frame cache proving cross-connection reuse.
 
 mod common;
 

@@ -1,5 +1,6 @@
 //! The sharded store reader: merged and per-shard cursors.
 
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use atc_core::format::{shard_dir_name, StoreManifest, STORE_MANIFEST_FILE};
@@ -8,43 +9,24 @@ use atc_engine::Engine;
 
 use crate::policy::ShardPolicy;
 
-/// One shard's decoded-but-unmerged values: a flat buffer plus a consume
-/// cursor, so refills are single `extend_from_slice` copies of whole
-/// frames and the zipper reads plain slices (no deque bookkeeping per
-/// value).
-#[derive(Debug, Default)]
+/// How far the merge has consumed one shard's current frame. The frame
+/// itself stays where the shard reader decoded it
+/// ([`AtcReader::current_frame`]: its bytesort output, or the shared
+/// cached frame), so merging never copies a whole frame out first.
+#[derive(Debug, Default, Clone, Copy)]
 struct ShardBuf {
-    vals: Vec<u64>,
     head: usize,
+    len: usize,
 }
 
 impl ShardBuf {
     fn is_empty(&self) -> bool {
-        self.head == self.vals.len()
+        self.head == self.len
     }
 
-    /// Values buffered and not yet consumed.
+    /// Values of the frame not yet consumed.
     fn available(&self) -> usize {
-        self.vals.len() - self.head
-    }
-
-    /// Appends one decoded frame, reclaiming the buffer first if it was
-    /// fully consumed (the steady state, so the buffer never grows past
-    /// a frame plus the current leftover).
-    fn push_frame(&mut self, frame: &[u64]) {
-        if self.is_empty() {
-            self.vals.clear();
-            self.head = 0;
-        }
-        self.vals.extend_from_slice(frame);
-    }
-
-    fn pop(&mut self) -> Option<u64> {
-        let v = self.vals.get(self.head).copied();
-        if v.is_some() {
-            self.head += 1;
-        }
-        v
+        self.len - self.head
     }
 }
 
@@ -84,9 +66,11 @@ enum MergeMode {
 ///   shards out to analysis threads.
 ///
 /// Shard payloads refill through the zero-copy
-/// [`AtcReader::next_frame`] path, so the merged cursor rides the
-/// readahead reassembly buffers when [`ReadOptions::threads`] > 1; every
-/// shard's decode tasks share one engine (injected through
+/// [`AtcReader::next_frame`] path and are merged straight out of each
+/// shard reader's current frame, so the merged cursor rides the
+/// readahead reassembly buffers when [`ReadOptions::threads`] > 1 and
+/// the shared cached frames when a [`ReadOptions::segment_cache`] is
+/// set; every shard's decode tasks share one engine (injected through
 /// [`ReadOptions::engine`], or the process-wide default).
 ///
 /// The exact merged cursor is *batched*: instead of stepping one value at
@@ -101,7 +85,7 @@ pub struct StoreReader {
     policy: ShardPolicy,
     mode: MergeMode,
     shards: Vec<AtcReader>,
-    /// Per-shard decoded values not yet merged out.
+    /// Per-shard consume cursors into each reader's current frame.
     bufs: Vec<ShardBuf>,
     /// Bulk-merged values awaiting hand-out (exact merge modes only).
     merged: Vec<u64>,
@@ -192,7 +176,7 @@ impl StoreReader {
                 )));
             }
         }
-        let bufs = shards.iter().map(|_| ShardBuf::default()).collect();
+        let bufs = vec![ShardBuf::default(); shards.len()];
         // Merge-mode table (also in docs/ARCHITECTURE.md): round-robin is
         // always exact (synthesized rotation); other policies are exact
         // when the manifest recorded the interleave track, and fall back
@@ -283,6 +267,12 @@ impl StoreReader {
     /// Propagates shard reader errors, and reports a store whose shards
     /// end before — or hold data beyond — the manifest's count.
     pub fn decode(&mut self) -> Result<Option<u64>> {
+        self.next_value(usize::MAX)
+    }
+
+    /// [`StoreReader::decode`], with a bulk refill of the merged buffer
+    /// capped near `limit` values (what the caller still needs).
+    fn next_value(&mut self, limit: usize) -> Result<Option<u64>> {
         // Fast path: hand out bulk-merged values from the merged buffer.
         if self.merged_pos < self.merged.len() {
             return Ok(Some(self.take_merged()));
@@ -301,7 +291,7 @@ impl StoreReader {
                     // Batched rotation: zip whole frame-sized rotations
                     // across the shards instead of stepping one value at
                     // a time.
-                    self.refill_rotation_zipper()?;
+                    self.refill_rotation_zipper(limit)?;
                     return Ok(Some(self.take_merged()));
                 }
                 // Deal back in the writer's rotation (the unbatched path:
@@ -312,7 +302,7 @@ impl StoreReader {
                 if self.batch {
                     // Batched replay: copy whole run slices into the
                     // merged buffer.
-                    self.refill_track_zipper()?;
+                    self.refill_track_zipper(limit)?;
                     return Ok(Some(self.take_merged()));
                 }
                 self.track_shard()
@@ -343,9 +333,11 @@ impl StoreReader {
                 )));
             }
         }
-        // atclint: allow(library-unwrap) -- infallible: the refill loop
-        // above either errored out or left the shard's buffer non-empty.
-        let v = self.bufs[shard].pop().expect("refilled above");
+        let v =
+            self.unmerged(shard).first().copied().ok_or_else(|| {
+                AtcError::Format(format!("shard {shard} lost its frame mid-merge"))
+            })?;
+        self.bufs[shard].head += 1;
         self.produced += 1;
         if self.mode == MergeMode::Track {
             // Only consume the track position once the value is really
@@ -363,17 +355,36 @@ impl StoreReader {
     pub fn decode_all(&mut self) -> Result<Vec<u64>> {
         let remaining = self.manifest.count.saturating_sub(self.produced);
         let mut out = Vec::with_capacity(remaining.min(1 << 24) as usize);
-        while let Some(v) = self.decode()? {
-            out.push(v);
-            // Bulk-append the rest of the zipped block in one extend
-            // instead of re-entering decode() per value.
-            if self.merged_pos < self.merged.len() {
-                out.extend_from_slice(&self.merged[self.merged_pos..]);
-                self.produced += (self.merged.len() - self.merged_pos) as u64;
-                self.merged_pos = self.merged.len();
-            }
-        }
+        self.fill(&mut out, remaining)?;
+        // At the manifest count decode() runs the end-of-store drain check.
+        self.decode()?;
         Ok(out)
+    }
+
+    /// Appends exactly the next `n` merged values to `out`, bulk-copying
+    /// zipped blocks capped at what is still needed.
+    fn fill(&mut self, out: &mut Vec<u64>, n: u64) -> Result<()> {
+        let mut need = n;
+        while need > 0 {
+            if self.merged_pos == self.merged.len() {
+                let cap = usize::try_from(need).unwrap_or(usize::MAX);
+                let v = self.next_value(cap)?.ok_or_else(|| {
+                    AtcError::Format(format!(
+                        "store ended after {} of {} addresses",
+                        self.produced, self.manifest.count
+                    ))
+                })?;
+                out.push(v);
+                need -= 1;
+                continue;
+            }
+            let take = (self.merged.len() - self.merged_pos).min(need as usize);
+            out.extend_from_slice(&self.merged[self.merged_pos..self.merged_pos + take]);
+            self.merged_pos += take;
+            self.produced += take as u64;
+            need -= take as u64;
+        }
+        Ok(())
     }
 
     /// Repositions the merged cursor to global position `pos` (the next
@@ -382,11 +393,11 @@ impl StoreReader {
     /// per-shard consumed count — a division for round-robin, a prefix
     /// walk over the recorded interleave runs, cumulative shard counts
     /// for the concatenation fallback — and each shard then seeks its
-    /// own trace through [`AtcReader::seek`]'s sidecar fast path
-    /// (decoding at most one segment, plus up to one frame of in-frame
-    /// skip). For a recorded interleave track the run cursor is
-    /// restored mid-run, so replay continues exactly where the writer
-    /// was.
+    /// own trace through [`AtcReader::seek`]'s sidecar fast path and
+    /// skips the in-frame remainder by offset into its next frame. With
+    /// a warm [`ReadOptions::segment_cache`] that costs no decoding at
+    /// all. For a recorded interleave track the run cursor is restored
+    /// mid-run, so replay continues exactly where the writer was.
     ///
     /// # Errors
     ///
@@ -439,20 +450,20 @@ impl StoreReader {
                 }
             }
         }
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let buffer = shard.meta().buffer.max(1);
-            shard.seek(consumed[i] / buffer)?;
-            self.bufs[i].vals.clear();
-            self.bufs[i].head = 0;
-            // Discard the in-frame remainder; the frame's tail stays
-            // buffered in the shard reader and merges out first.
-            for _ in 0..(consumed[i] % buffer) {
-                shard.decode()?.ok_or_else(|| {
-                    AtcError::Format(format!(
-                        "shard {i} ended while seeking to its address {}",
-                        consumed[i]
-                    ))
-                })?;
+        for (i, &target) in consumed.iter().enumerate() {
+            let buffer = self.shards[i].meta().buffer.max(1);
+            self.shards[i].seek(target / buffer)?;
+            self.bufs[i] = ShardBuf::default();
+            // Skip the in-frame remainder by offset: the frame's tail
+            // merges out first.
+            let skip = (target % buffer) as usize;
+            if skip > 0 {
+                if !self.refill(i)? || self.bufs[i].len < skip {
+                    return Err(AtcError::Format(format!(
+                        "shard {i} ended while seeking to its address {target}"
+                    )));
+                }
+                self.bufs[i].head = skip;
             }
         }
         self.merged.clear();
@@ -473,7 +484,34 @@ impl StoreReader {
     ///
     /// Fails on inverted or out-of-bounds ranges and on anything
     /// [`StoreReader::seek_to`] / [`StoreReader::decode`] can fail on.
-    pub fn read_range(&mut self, range: std::ops::Range<u64>) -> Result<Vec<u64>> {
+    pub fn read_range(&mut self, range: Range<u64>) -> Result<Vec<u64>> {
+        let mut out = Vec::new();
+        self.read_range_chunked(range, usize::MAX, |chunk| {
+            out.extend_from_slice(chunk);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// [`StoreReader::read_range`], handing the values to `sink` in
+    /// chunks of at most `chunk_values` (clamped to at least 1) so a
+    /// caller can bound its decoded-but-unconsumed memory however large
+    /// the range is. A `sink` error aborts the read and propagates.
+    ///
+    /// # Errors
+    ///
+    /// Fails on inverted or out-of-bounds ranges (before any chunk is
+    /// produced), on anything [`StoreReader::seek_to`] /
+    /// [`StoreReader::decode`] can fail on, and on `sink` errors.
+    pub fn read_range_chunked<F>(
+        &mut self,
+        range: Range<u64>,
+        chunk_values: usize,
+        mut sink: F,
+    ) -> Result<()>
+    where
+        F: FnMut(&[u64]) -> Result<()>,
+    {
         if range.start > range.end || range.end > self.manifest.count {
             return Err(AtcError::Format(format!(
                 "range {}..{} does not fit the store's {} addresses",
@@ -481,31 +519,26 @@ impl StoreReader {
             )));
         }
         self.seek_to(range.start)?;
-        let want = range.end - range.start;
-        let mut out = Vec::with_capacity(want.min(1 << 24) as usize);
-        while (out.len() as u64) < want {
-            match self.decode()? {
-                Some(v) => {
-                    out.push(v);
-                    // Bulk-drain the zipped block like decode_all, capped
-                    // at what the range still needs.
-                    let need = want as usize - out.len();
-                    let take = need.min(self.merged.len() - self.merged_pos);
-                    out.extend_from_slice(&self.merged[self.merged_pos..self.merged_pos + take]);
-                    self.merged_pos += take;
-                    self.produced += take as u64;
-                }
-                None => {
-                    return Err(AtcError::Format(format!(
-                        "store ended after {} of the {want} addresses in {}..{}",
-                        out.len(),
-                        range.start,
-                        range.end
-                    )));
-                }
-            }
+        let chunk_values = chunk_values.max(1) as u64;
+        let mut remaining = range.end - range.start;
+        let mut chunk = Vec::with_capacity(remaining.min(chunk_values).min(1 << 24) as usize);
+        while remaining > 0 {
+            let n = remaining.min(chunk_values);
+            chunk.clear();
+            self.fill(&mut chunk, n)?;
+            sink(&chunk)?;
+            remaining -= n;
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// The part of `shard`'s current frame not yet merged out.
+    fn unmerged(&self, shard: usize) -> &[u64] {
+        let buf = self.bufs[shard];
+        self.shards[shard]
+            .current_frame()
+            .get(buf.head..buf.len)
+            .unwrap_or(&[])
     }
 
     /// Hands out the next bulk-merged value (caller ensured one exists).
@@ -533,16 +566,17 @@ impl StoreReader {
     /// merged buffer: each step bulk-copies `min(run remainder, shard
     /// buffer)` values, refilling a shard only when the merged buffer is
     /// still empty (so a value already decoded is never held hostage to
-    /// another shard's I/O).
-    fn refill_track_zipper(&mut self) -> Result<()> {
+    /// another shard's I/O). Stops near `limit` values.
+    fn refill_track_zipper(&mut self, limit: usize) -> Result<()> {
         /// Merged values per refill — frame-order magnitude, so the hot
         /// loop amortizes run bookkeeping the way the rotation zipper
         /// amortizes the modulo.
         const TARGET: usize = 4096;
+        let target = TARGET.min(limit).max(1);
         debug_assert_eq!(self.merged_pos, self.merged.len(), "merged drained");
         self.merged.clear();
         self.merged_pos = 0;
-        while self.merged.len() < TARGET {
+        while self.merged.len() < target {
             let Some(&(shard, len)) = self.runs.get(self.run_idx) else {
                 break;
             };
@@ -565,13 +599,18 @@ impl StoreReader {
                     )));
                 }
             }
-            let buf = &mut self.bufs[shard];
             let take = (len - self.run_off)
-                .min((TARGET - self.merged.len()) as u64)
-                .min(buf.available() as u64) as usize;
-            self.merged
-                .extend_from_slice(&buf.vals[buf.head..buf.head + take]);
-            buf.head += take;
+                .min((target - self.merged.len()) as u64)
+                .min(self.bufs[shard].available() as u64) as usize;
+            let Self {
+                shards,
+                bufs,
+                merged,
+                ..
+            } = self;
+            let head = bufs[shard].head;
+            merged.extend_from_slice(&shards[shard].current_frame()[head..head + take]);
+            bufs[shard].head += take;
             self.run_off += take as u64;
         }
         if self.merged.is_empty() {
@@ -589,8 +628,9 @@ impl StoreReader {
     /// Zips whole rotations (one value per shard, in rotation order) into
     /// the flat merged buffer: `m = min(values buffered per shard)`
     /// rotations at a time — frame-sized in the steady state — capped by
-    /// the rotations remaining in the store.
-    fn refill_rotation_zipper(&mut self) -> Result<()> {
+    /// the rotations remaining in the store and by the rotations needed
+    /// to cover `limit` values.
+    fn refill_rotation_zipper(&mut self, limit: usize) -> Result<()> {
         let shard_count = self.shards.len();
         let mut m = usize::MAX;
         for shard in 0..shard_count {
@@ -605,9 +645,12 @@ impl StoreReader {
             m = m.min(self.bufs[shard].available());
         }
         let remaining_rotations = (self.manifest.count - self.produced) / shard_count as u64;
-        let m = m.min(remaining_rotations.min(usize::MAX as u64) as usize);
+        let m = m
+            .min(remaining_rotations.min(usize::MAX as u64) as usize)
+            .min(limit.div_ceil(shard_count).max(1));
         debug_assert!(m >= 1, "caller checked a full rotation remains");
         let Self {
+            shards,
             bufs,
             merged,
             merged_pos,
@@ -618,8 +661,8 @@ impl StoreReader {
         *merged_pos = 0;
         // Strided transpose: each shard's slice is read sequentially and
         // scattered to its rotation lane in one pass.
-        for (s, buf) in bufs.iter_mut().enumerate() {
-            let slice = &buf.vals[buf.head..buf.head + m];
+        for (s, (reader, buf)) in shards.iter().zip(bufs.iter_mut()).enumerate() {
+            let slice = &reader.current_frame()[buf.head..buf.head + m];
             let mut idx = s;
             for &v in slice {
                 merged[idx] = v;
@@ -650,19 +693,20 @@ impl StoreReader {
         Ok(())
     }
 
-    /// Pulls the next frame of `shard` into its merge buffer; `Ok(false)`
-    /// at that shard's clean end.
+    /// Advances `shard` to its next frame (its merge buffer must be
+    /// drained); `Ok(false)` at that shard's clean end.
     fn refill(&mut self, shard: usize) -> Result<bool> {
         // Empty frames are legal in the format (never written by the
         // store): keep pulling so one never masquerades as end-of-shard.
         loop {
-            match self.shards[shard].next_frame()? {
-                Some(frame) => {
-                    self.bufs[shard].push_frame(frame);
-                    if !self.bufs[shard].is_empty() {
-                        return Ok(true);
-                    }
-                }
+            let len = self.shards[shard].next_frame()?.map(<[u64]>::len);
+            self.bufs[shard] = ShardBuf {
+                head: 0,
+                len: len.unwrap_or(0),
+            };
+            match len {
+                Some(0) => continue,
+                Some(_) => return Ok(true),
                 None => return Ok(false),
             }
         }

@@ -9,8 +9,8 @@
 //! That makes the service trivially `Send + Sync` (hand one `Arc` to N
 //! connection tasks) while the shared
 //! [`SegmentCache`](ReadOptions::segment_cache) keeps repeat opens cheap:
-//! the segment a request decodes to reach its range is a cache hit for
-//! every later request near it, across connections.
+//! every frame a request decodes is a cache hit for every later request
+//! that touches it, across connections.
 //!
 //! Responses are produced in *chunks* through a callback rather than one
 //! flat vector, so a network server can bound its decoded-but-unsent
@@ -111,11 +111,10 @@ impl StoreService {
         &self.root
     }
 
-    /// Reads the half-open merged range `range`, handing the values to
-    /// `sink` in chunks of at most `chunk_values` (clamped to at least
-    /// 1). The concatenation of every chunk equals
-    /// [`StoreReader::read_range`] over the same range; a `sink` error
-    /// aborts the read and propagates.
+    /// Reads the half-open merged range `range` through a fresh reader's
+    /// [`StoreReader::read_range_chunked`]: the values reach `sink` in
+    /// chunks of at most `chunk_values` (clamped to at least 1), and a
+    /// `sink` error aborts the read and propagates.
     ///
     /// # Errors
     ///
@@ -126,40 +125,16 @@ impl StoreService {
         &self,
         range: Range<u64>,
         chunk_values: usize,
-        mut sink: F,
+        sink: F,
     ) -> Result<()>
     where
         F: FnMut(&[u64]) -> Result<()>,
     {
-        if range.start > range.end || range.end > self.manifest.count {
-            return Err(AtcError::Format(format!(
-                "range {}..{} does not fit the store's {} addresses",
-                range.start, range.end, self.manifest.count
-            )));
-        }
-        let chunk_values = chunk_values.max(1);
-        let mut reader = StoreReader::open_with(&self.root, self.options.clone())?;
-        reader.seek_to(range.start)?;
-        let mut remaining = range.end - range.start;
-        let mut chunk = Vec::with_capacity(chunk_values.min(remaining as usize + 1));
-        while remaining > 0 {
-            let v = reader.decode()?.ok_or_else(|| {
-                AtcError::Format(format!(
-                    "store ended with {remaining} of {}..{} unread",
-                    range.start, range.end
-                ))
-            })?;
-            chunk.push(v);
-            remaining -= 1;
-            if chunk.len() == chunk_values {
-                sink(&chunk)?;
-                chunk.clear();
-            }
-        }
-        if !chunk.is_empty() {
-            sink(&chunk)?;
-        }
-        Ok(())
+        StoreReader::open_with(&self.root, self.options.clone())?.read_range_chunked(
+            range,
+            chunk_values,
+            sink,
+        )
     }
 
     /// Streams shard `shard`'s sub-stream from its value position `from`
@@ -198,24 +173,24 @@ impl StoreService {
         let chunk_values = chunk_values.max(1);
         let mut reader = StoreReader::open_with(&self.root, self.options.clone())?;
         let cursor = reader.shard(shard);
+        // The in-frame remainder in front of `from`, skipped by slicing
+        // the first frame.
+        let mut skip = 0;
         if from > 0 {
             let buffer = cursor.meta().buffer.max(1);
             cursor.seek(from / buffer)?;
-            // Discard the in-frame remainder to land exactly on `from`.
-            for consumed in 0..(from % buffer) {
-                cursor.decode()?.ok_or_else(|| {
-                    AtcError::Format(format!(
-                        "shard {shard} ended while seeking to its address {}",
-                        from - (from % buffer) + consumed
-                    ))
-                })?;
-            }
+            skip = (from % buffer) as usize;
         }
         let mut chunk = Vec::with_capacity(chunk_values);
         // Bulk-copy whole decoded frames into the chunk; a frame is the
         // natural unit the shard reader already hands out.
         while let Some(frame) = cursor.next_frame()? {
-            let mut rest: &[u64] = frame;
+            let mut rest: &[u64] = frame.get(skip..).ok_or_else(|| {
+                AtcError::Format(format!(
+                    "shard {shard} ended while seeking to its address {from}"
+                ))
+            })?;
+            skip = 0;
             while !rest.is_empty() {
                 let take = (chunk_values - chunk.len()).min(rest.len());
                 chunk.extend_from_slice(&rest[..take]);
@@ -225,6 +200,11 @@ impl StoreService {
                     chunk.clear();
                 }
             }
+        }
+        if skip > 0 {
+            return Err(AtcError::Format(format!(
+                "shard {shard} ended while seeking to its address {from}"
+            )));
         }
         if !chunk.is_empty() {
             sink(&chunk)?;

@@ -7,9 +7,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use atc_cache::SegmentCache;
 use atc_core::{AtcOptions, Mode, ReadOptions};
 use atc_engine::Engine;
-use atc_store::{AtcStore, ShardPolicy, StoreOptions, StoreReader};
+use atc_store::{AtcStore, ShardPolicy, StoreOptions, StoreReader, StoreService};
 
 fn tmp(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -402,6 +403,105 @@ proptest! {
                     );
                     std::fs::remove_dir_all(&root).unwrap();
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Range reads equal the linear slice for random frame sizes, trace
+    /// lengths and windows, under every policy at 1, 2 and 4 shards, and
+    /// in every frame-cache state: cold (a fresh cache), warm (the same
+    /// cache again — no new misses), and bypass (a cache smaller than
+    /// one frame, which admits nothing).
+    #[test]
+    fn read_range_matches_linear_slice_in_every_cache_state(
+        addrs in vec(0u64..1 << 20, 1..2500),
+        buffer in 1usize..300,
+        starts in vec(any::<u64>(), 3..4),
+        lens in vec(0u64..1200, 3..4),
+    ) {
+        for shards in [1usize, 2, 4] {
+            for policy in [
+                ShardPolicy::RoundRobin,
+                ShardPolicy::AddressRange { shift: 16 },
+                ShardPolicy::ThreadId,
+            ] {
+                let tag = format!("cache-{shards}-{}", policy.to_name().replace(':', "_"));
+                let root = tmp(&tag);
+                let mut s = AtcStore::create(
+                    &root,
+                    Mode::Lossless,
+                    StoreOptions {
+                        shards,
+                        policy,
+                        atc: AtcOptions {
+                            codec: "lz".into(),
+                            buffer,
+                            threads: 1,
+                        },
+                        max_buffered_bytes: None,
+                    },
+                )
+                .unwrap();
+                for (i, &a) in addrs.iter().enumerate() {
+                    s.code_from(i as u64 / 7 % 5, a).unwrap();
+                }
+                s.finish().unwrap();
+                let linear = StoreReader::open(&root).unwrap().decode_all().unwrap();
+                let count = linear.len() as u64;
+                let windows: Vec<(u64, u64)> = starts
+                    .iter()
+                    .zip(&lens)
+                    .map(|(&a, &len)| {
+                        let a = a % (count + 1);
+                        (a, (a + len).min(count))
+                    })
+                    .collect();
+                let shared = SegmentCache::isolated(64 << 20);
+                let states = [
+                    ("cold", shared.clone()),
+                    ("warm", shared.clone()),
+                    ("bypass", SegmentCache::isolated(4)),
+                ];
+                for (state, cache) in states {
+                    let before = cache.stats();
+                    let options = ReadOptions {
+                        segment_cache: Some(cache.clone()),
+                        ..ReadOptions::default()
+                    };
+                    let mut r = StoreReader::open_with(&root, options.clone()).unwrap();
+                    let service = StoreService::open_with(&root, options).unwrap();
+                    for &(a, b) in &windows {
+                        let want = &linear[a as usize..b as usize];
+                        prop_assert_eq!(
+                            &r.read_range(a..b).unwrap()[..],
+                            want,
+                            "{} {}..{} ({})",
+                            &tag,
+                            a,
+                            b,
+                            state
+                        );
+                        let mut chunked = Vec::new();
+                        service
+                            .read_range_chunked(a..b, 97, |c| {
+                                chunked.extend_from_slice(c);
+                                Ok(())
+                            })
+                            .unwrap();
+                        prop_assert_eq!(&chunked[..], want, "{} service ({})", &tag, state);
+                    }
+                    let delta = cache.stats().since(&before);
+                    match state {
+                        "warm" => prop_assert_eq!(delta.misses, 0, "{} warm", &tag),
+                        "bypass" => prop_assert_eq!(delta.hits, 0, "{} bypass", &tag),
+                        _ => {}
+                    }
+                }
+                std::fs::remove_dir_all(&root).unwrap();
             }
         }
     }

@@ -117,15 +117,15 @@ fn main() -> Result<(), Box<dyn Error>> {
     let read_options = || ReadOptions {
         threads,
         engine: engine.clone(),
-        // The process-wide decoded-segment cache: shards carrying a seek
-        // sidecar decode each hot segment at most once per process.
+        // The process-wide decoded-frame cache: shards carrying a seek
+        // sidecar decode each hot frame at most once per process.
         segment_cache: Some(SegmentCache::global()),
         ..ReadOptions::default()
     };
     let print_cache_stats = || {
         let s = SegmentCache::global().stats();
         eprintln!(
-            "segment cache: {} hits, {} misses, {} evictions, {}/{} bytes",
+            "frame cache: {} hits, {} misses, {} evictions, {}/{} bytes",
             s.hits, s.misses, s.evictions, s.bytes, s.cap
         );
     };

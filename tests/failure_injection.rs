@@ -186,3 +186,108 @@ fn swapped_chunk_files_detected_by_length_or_content() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Reads `dir` from frame 1 on, then from the start, through a frame
+/// cache: the random-access miss path, which builds frames from the
+/// segments the seek sidecar delimits.
+fn try_cached(dir: &std::path::Path) -> Result<Vec<u64>, atc::core::AtcError> {
+    let options = atc::core::ReadOptions {
+        segment_cache: Some(atc::cache::SegmentCache::isolated(64 << 20)),
+        ..atc::core::ReadOptions::default()
+    };
+    let mut r = AtcReader::open_with(dir, options)?;
+    r.seek(1)?;
+    r.decode_all()?;
+    r.seek(0)?;
+    r.decode_all()
+}
+
+#[test]
+fn forged_sidecar_lengths_error_cleanly_on_the_frame_cache_path() {
+    use atc::codec::SegmentRecord;
+    use atc::core::format::{SeekTable, FRAME_MAX_ADDRS};
+
+    // 300k addresses = 2.4 MB raw: three codec segments, frames of 1000
+    // straddling their boundaries.
+    let dir = scratch("forged-sidecar");
+    let trace: Vec<u64> = (0..300_000u64).map(|i| i.wrapping_mul(0x517C)).collect();
+    let mut w = AtcWriter::with_options(
+        &dir,
+        Mode::Lossless,
+        AtcOptions {
+            codec: "lz".into(),
+            buffer: 1000,
+            threads: 1,
+        },
+    )
+    .unwrap();
+    w.code_all(trace.iter().copied()).unwrap();
+    w.finish().unwrap();
+    assert_eq!(try_cached(&dir).unwrap(), trace);
+
+    let seek_path = dir.join("seek.atc");
+    let meta_path = dir.join("meta");
+    let (seek_bytes, meta_text) = (
+        std::fs::read(&seek_path).unwrap(),
+        std::fs::read_to_string(&meta_path).unwrap(),
+    );
+    let segments = SeekTable::decode(&seek_bytes).unwrap().segments().to_vec();
+    assert!(segments.len() >= 3);
+    // Rewrites the sidecar with a valid CRC around forged lengths.
+    let forge = |edit: &dyn Fn(&mut [SegmentRecord])| {
+        let mut segs = segments.clone();
+        edit(&mut segs);
+        let mut offset = 0;
+        for s in &mut segs {
+            s.file_offset = offset;
+            offset += s.compressed_len;
+        }
+        let table = SeekTable::from_records(segs).unwrap();
+        std::fs::write(&seek_path, table.encode()).unwrap();
+    };
+    let last = segments.len() - 1;
+    type Edit<'a> = &'a dyn Fn(&mut [SegmentRecord]);
+    let cases: [(&str, Edit); 4] = [
+        ("raw total disagrees with meta", &|s| {
+            s[last].raw_len += 4096
+        }),
+        ("raw lengths shifted, total kept", &|s| {
+            s[0].raw_len -= 8002;
+            s[1].raw_len += 8002;
+        }),
+        ("raw length forged huge", &|s| s[0].raw_len = 1 << 40),
+        ("compressed length past the file", &|s| {
+            s[last].compressed_len += 1 << 40
+        }),
+    ];
+    for (what, edit) in cases {
+        forge(edit);
+        assert!(try_cached(&dir).is_err(), "{what}: must be a clean error");
+        // The sidecar is advisory for a linear read, which stays exact.
+        assert_eq!(try_decode(&dir).unwrap(), trace, "{what}: linear read");
+    }
+
+    // A forged meta declaring one frame above the cap, with a sidecar
+    // forged to agree on the payload size: the frame size is refused
+    // before anything is allocated for it.
+    let n = FRAME_MAX_ADDRS + 1;
+    std::fs::write(
+        &meta_path,
+        meta_text
+            .replace("count=300000", &format!("count={n}"))
+            .replace("buffer=1000", &format!("buffer={n}")),
+    )
+    .unwrap();
+    let need = 4 + 8 * n; // varint(n) is 4 bytes
+    forge(&|s| {
+        let rest: u64 = s[..last].iter().map(|r| r.raw_len).sum();
+        s[last].raw_len = need - rest;
+    });
+    let err = try_cached(&dir).unwrap_err().to_string();
+    assert!(err.contains("cap"), "frame cap must fire first: {err}");
+
+    std::fs::write(&meta_path, &meta_text).unwrap();
+    std::fs::write(&seek_path, &seek_bytes).unwrap();
+    assert_eq!(try_cached(&dir).unwrap(), trace);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

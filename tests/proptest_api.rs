@@ -238,17 +238,27 @@ proptest! {
         prop_assert_eq!(rest, &values[at..]);
     }
 
-    // Cache-enabled reads are byte-identical to the cold decode, the
-    // warm pass re-decodes nothing, and every segment the cold pass
-    // decoded comes back as a recorded hit.
+    // Cache-enabled reads are byte-identical to the cold decode, counted
+    // in frames: the cold linear pass misses once per frame and
+    // decompresses every sidecar segment exactly once (traces past 1 MiB
+    // raw span several segments, with frames straddling the boundaries),
+    // and the warm pass hits once per frame read and decompresses nothing.
     #[test]
     fn cached_reads_match_cold_with_hits(
-        values in vec(any::<u64>(), 0..3000),
-        buffer in 1usize..500,
+        pattern in vec(any::<u64>(), 0..3000),
+        reps in 1usize..70,
+        buffer in 1usize..2000,
         seed in any::<u64>(),
     ) {
         use std::sync::Arc;
         use atc::cache::SegmentCache;
+        let values: Vec<u64> = pattern
+            .iter()
+            .cycle()
+            .take(pattern.len() * reps)
+            .enumerate()
+            .map(|(i, &v)| v ^ i as u64)
+            .collect();
         let dir = scratch(seed.wrapping_add(404));
         let mut w = AtcWriter::with_options(
             &dir,
@@ -266,18 +276,29 @@ proptest! {
                 ..Default::default()
             },
         ).unwrap();
+        let frames = values.len().div_ceil(buffer) as u64;
         let mut cold = open(&cache);
         let cold_out = cold.decode_all().unwrap();
-        let decoded_cold = cold.segments_decoded().unwrap();
+        let decoded_cold = cold.segments_decoded();
+        let segments = cold.meta().seek_segments;
+        let after_cold = cache.stats();
         let mut warm = open(&cache);
-        let warm_out = warm.decode_all().unwrap();
+        let mut warm_out = Vec::new();
+        let mut warm_frames = 0u64;
+        while let Some(frame) = warm.next_frame().unwrap() {
+            warm_out.extend_from_slice(frame);
+            warm_frames += 1;
+        }
         let warm_decoded = warm.segments_decoded();
-        let hits = cache.stats().hits;
+        let warm_delta = cache.stats().since(&after_cold);
         let _ = std::fs::remove_dir_all(&dir);
         prop_assert_eq!(&cold_out, &values);
         prop_assert_eq!(&warm_out, &values);
+        prop_assert_eq!(decoded_cold, segments, "each segment decompressed once");
+        prop_assert_eq!((after_cold.hits, after_cold.misses), (0, frames));
         prop_assert_eq!(warm_decoded, Some(0));
-        prop_assert_eq!(hits, decoded_cold);
+        prop_assert_eq!(warm_frames, frames);
+        prop_assert_eq!((warm_delta.hits, warm_delta.misses), (frames, 0));
     }
 
     #[test]
