@@ -276,6 +276,10 @@ impl Bzip {
             }
         }
         let mtf = rle_decode(&syms).map_err(|e| CodecError::Corrupt(e.to_string()))?;
+        // Each stage's input is released as soon as the next stage has
+        // its output, so the BWT inverse (the largest stage) never runs
+        // next to the symbol and MTF buffers.
+        drop(syms);
         if mtf.len() != raw_len {
             return Err(CodecError::Corrupt(format!(
                 "block length mismatch: header {raw_len}, payload {}",
@@ -283,6 +287,7 @@ impl Bzip {
             )));
         }
         let last_col = mtf_decode(&mtf);
+        drop(mtf);
         let data = bwt_inverse(&last_col, primary as u32)
             .map_err(|e| CodecError::Corrupt(e.to_string()))?;
         let actual = crc32(&data);
