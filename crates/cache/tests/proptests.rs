@@ -1,12 +1,12 @@
 //! Property-based pins for the filter front end.
 //!
-//! Two invariants carry the whole parallel-filter design:
+//! Two invariants carry the filter design:
 //!
-//! * **Set-partition identity** — the set-partitioned parallel filter
-//!   must produce the byte-identical filtered trace to the serial
-//!   filter, over every (worker count, associativity, write-back
-//!   emission) combination, for arbitrary access streams and arbitrary
-//!   batch boundaries.
+//! * **Batch boundaries are invisible** — the batched fast path
+//!   ([`CacheFilter::filter_batch`]) must produce the byte-identical
+//!   filtered trace to the per-access iterator, over every
+//!   (associativity, write-back emission) combination, for arbitrary
+//!   access streams cut at arbitrary batch boundaries.
 //! * **Per-set clocks replay the global clock** — LRU victim choice
 //!   only compares stamps within one set, so replacing the old global
 //!   access counter with per-set counters must be observationally
@@ -17,8 +17,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use atc_cache::{Cache, CacheConfig, CacheFilter, ParallelCacheFilter};
-use atc_engine::Engine;
+use atc_cache::{Cache, CacheConfig, CacheFilter};
 use atc_trace::Access;
 
 /// Decodes a raw u64 into an access: low bits pick the address (within
@@ -95,11 +94,13 @@ impl GlobalClockLru {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 8 }))]
 
-    /// Parallel filter == serial filter, byte for byte, over workers
-    /// {1, 2, 8} × ways {1, 2, 8} × write-back emission on/off, with the
-    /// stream re-chunked into arbitrary batch sizes.
+    /// The batched filter entry point and the iterator adapter are the
+    /// same function: identical output and counters for identical
+    /// streams, over ways {1, 2, 8} × write-back emission on/off, with
+    /// the batched side re-chunked into arbitrary batch sizes (cache
+    /// state must carry across `filter_batch` calls untouched).
     #[test]
-    fn parallel_filter_is_byte_identical_to_serial(
+    fn filter_batch_matches_iterator(
         raw in vec(any::<u64>(), 0..6000),
         batch in 1usize..3000,
     ) {
@@ -109,48 +110,23 @@ proptest! {
             // Small caches so the stream actually thrashes them.
             let cfg = CacheConfig { sets: 16, ways, block_shift: 6 };
             for emit in [false, true] {
-                let mut serial = CacheFilter::new(cfg, cfg);
-                serial.set_emit_writebacks(emit);
-                let mut want = Vec::new();
-                serial.filter_batch(&accesses, &mut want);
-                for workers in [1usize, 2, 8] {
-                    let engine = Engine::new(workers);
-                    let mut par = ParallelCacheFilter::new(cfg, cfg, engine, workers);
-                    par.set_emit_writebacks(emit);
-                    let mut got = Vec::new();
-                    for chunk in accesses.chunks(batch) {
-                        par.filter_batch(chunk, &mut got);
-                    }
-                    prop_assert_eq!(
-                        &got, &want,
-                        "ways={} workers={} emit={} batch={}",
-                        ways, workers, emit, batch
-                    );
-                    prop_assert_eq!(par.misses(), serial.misses());
-                    prop_assert_eq!(par.writebacks(), serial.writebacks());
+                let mut a = CacheFilter::new(cfg, cfg);
+                a.set_emit_writebacks(emit);
+                let want: Vec<u64> = a.filter(accesses.iter().copied()).collect();
+                let mut b = CacheFilter::new(cfg, cfg);
+                b.set_emit_writebacks(emit);
+                let mut got = Vec::new();
+                for chunk in accesses.chunks(batch) {
+                    b.filter_batch(chunk, &mut got);
                 }
+                prop_assert_eq!(
+                    &got, &want,
+                    "ways={} emit={} batch={}", ways, emit, batch
+                );
+                prop_assert_eq!(b.misses(), a.misses());
+                prop_assert_eq!(b.writebacks(), a.writebacks());
+                prop_assert_eq!(b.accesses(), a.accesses());
             }
-        }
-    }
-
-    /// The batched filter entry point and the iterator adapter are the
-    /// same function: identical output for identical streams.
-    #[test]
-    fn filter_batch_matches_iterator(
-        raw in vec(any::<u64>(), 0..4000),
-    ) {
-        let accesses: Vec<Access> =
-            raw.iter().map(|&r| decode_access(r, 512)).collect();
-        let cfg = CacheConfig { sets: 8, ways: 2, block_shift: 6 };
-        for emit in [false, true] {
-            let mut a = CacheFilter::new(cfg, cfg);
-            a.set_emit_writebacks(emit);
-            let want: Vec<u64> = a.filter(accesses.iter().copied()).collect();
-            let mut b = CacheFilter::new(cfg, cfg);
-            b.set_emit_writebacks(emit);
-            let mut got = Vec::new();
-            b.filter_batch(&accesses, &mut got);
-            prop_assert_eq!(&got, &want, "emit={}", emit);
         }
     }
 

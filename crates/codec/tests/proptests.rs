@@ -160,25 +160,16 @@ proptest! {
         }
     }
 
-    // Multi-block Bzip parallelism: parallel decompress must round-trip
-    // serial compress output and vice versa (and the compressed bytes
-    // must be identical in both directions).
+    // Multi-block Bzip: 1 kB blocks turn every input here into up to 24
+    // independent blocks, so block framing, the whole-stream header scan
+    // and the capped output preallocation all run on every case.
     #[test]
-    fn parallel_bzip_interoperates_with_serial(
+    fn bzip_multi_block_roundtrip(
         data in vec(any::<u8>(), 0..24_000),
     ) {
-        let serial = Bzip::with_block_size(1024); // force many blocks
-        let packed_serial = serial.compress(&data);
-        for threads in test_threads() {
-            let parallel = Bzip::with_block_size(1024).threads(threads);
-            let packed_parallel = parallel.compress(&data);
-            prop_assert_eq!(&packed_serial, &packed_parallel, "compressed bytes, threads={}", threads);
-
-            // serial compress -> parallel decompress
-            prop_assert_eq!(&parallel.decompress(&packed_serial).unwrap(), &data);
-            // parallel compress -> serial decompress
-            prop_assert_eq!(&serial.decompress(&packed_parallel).unwrap(), &data);
-        }
+        let codec = Bzip::with_block_size(1024);
+        let packed = codec.compress(&data);
+        prop_assert_eq!(&codec.decompress(&packed).unwrap(), &data);
     }
 
     // Forced-stealing byte identity: an injected engine whose home worker
@@ -221,21 +212,28 @@ proptest! {
         }
     }
 
+    // A flipped bit anywhere in a multi-block stream (headers, Huffman
+    // tables or payload bits) yields an error or, where the bit is dead
+    // padding, exactly the original bytes: never a different output.
     #[test]
-    fn parallel_bzip_rejects_corruption_like_serial(
-        data in vec(any::<u8>(), 2048..8192),
-        flip_bit in 0usize..64,
+    fn bzip_bit_flip_never_decodes_to_other_bytes(
+        raw in vec(any::<u8>(), 2048..12_000),
+        low_entropy in any::<bool>(),
+        pos in any::<usize>(),
+        bit in 0u8..8,
     ) {
-        let parallel = Bzip::with_block_size(1024).threads(4);
-        let mut packed = parallel.compress(&data);
-        let pos = packed.len() - 1 - (flip_bit / 8) % packed.len().min(64);
-        packed[pos] ^= 1 << (flip_bit % 8);
-        let serial = Bzip::with_block_size(1024);
-        // Whatever the serial codec says, the parallel one must agree.
-        prop_assert_eq!(
-            serial.decompress(&packed).is_err(),
-            parallel.decompress(&packed).is_err()
-        );
+        let data: Vec<u8> = if low_entropy {
+            raw.iter().map(|b| b % 4).collect()
+        } else {
+            raw
+        };
+        let codec = Bzip::with_block_size(1024);
+        let mut packed = codec.compress(&data);
+        let pos = pos % packed.len();
+        packed[pos] ^= 1 << bit;
+        if let Ok(back) = codec.decompress(&packed) {
+            prop_assert_eq!(&back, &data, "flip at byte {} bit {} decoded to other bytes", pos, bit);
+        }
     }
 }
 
@@ -243,7 +241,6 @@ proptest! {
 fn all_codecs() -> Vec<Box<dyn Codec>> {
     vec![
         Box::new(Bzip::with_block_size(1024)),
-        Box::new(Bzip::with_block_size(1024).threads(4)),
         Box::new(Lz::with_block_size(1024)),
         Box::new(Store),
     ]

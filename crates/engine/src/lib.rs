@@ -2,9 +2,9 @@
 //!
 //! Before this crate, every parallel layer of the workspace owned its own
 //! thread pool: the segment pool of `ParallelCodecWriter`, the readahead
-//! decode pool, the multi-block `Bzip` scoped threads, and the lossy
-//! chunk pool — plus a *static* per-shard split of the store's thread
-//! budget. Idle capacity in one pool could not help a busy neighbour.
+//! decode pool, and the lossy chunk pool — plus a *static* per-shard
+//! split of the store's thread budget. Idle capacity in one pool could
+//! not help a busy neighbour.
 //!
 //! [`Engine`] replaces all of them with one scheduler over independent
 //! tasks: a fixed set of long-lived worker threads, each owning a
@@ -38,9 +38,10 @@
 //! * [`Engine::submit`] — fire-and-forget `'static` task on a home deque
 //!   (segment compression, readahead decode, chunk files).
 //! * [`Engine::scope`] — structured fork/join over tasks that may borrow
-//!   the caller's stack ([`Scope::spawn`]); the scoping thread helps run
-//!   its own tasks, so a scope opened *from inside* an engine task cannot
-//!   deadlock.
+//!   the caller's stack ([`Scope::spawn`]), as the whole-payload flat
+//!   decode does with disjoint slices of one buffer; the scoping thread
+//!   helps run its own tasks, so a scope opened *from inside* an engine
+//!   task cannot deadlock.
 //! * [`WorkerLocal`] — per-worker scratch storage, so a task category can
 //!   reuse buffers across tasks without locking during the work itself.
 //!

@@ -1,6 +1,6 @@
 //! The blocking trace-service client.
 
-use std::io::{BufReader, ErrorKind, Read, Write};
+use std::io::{self, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::time::Duration;
@@ -16,6 +16,8 @@ pub struct ClientOptions {
     /// Per-attempt TCP connect deadline.
     pub connect_timeout: Duration,
     /// Deadline for every read and write on the established connection.
+    /// Missing it fails the call with [`ErrorKind::TimedOut`] and
+    /// poisons the client.
     pub io_timeout: Duration,
     /// Extra connect attempts after the first fails. The generous
     /// default doubles as "wait for the daemon to come up" in scripts
@@ -42,14 +44,21 @@ impl Default for ClientOptions {
 /// pipelining); open more clients for concurrency — the server decodes
 /// each hot segment only once across all of them. Any transport or
 /// protocol error poisons the connection: subsequent calls keep
-/// failing, reconnect to recover. A server-side *query* rejection (bad
-/// range, unknown shard) is returned as [`AtcError::Format`] with the
-/// server's message and does **not** poison the connection.
+/// failing, reconnect to recover. (A reply that arrives after its
+/// request timed out would otherwise be read as the answer to the next
+/// request.) A read or write that outlasts
+/// [`ClientOptions::io_timeout`] fails with [`ErrorKind::TimedOut`]. A
+/// server-side *query* rejection (bad range, unknown shard) is returned
+/// as [`AtcError::Format`] with the server's message and does **not**
+/// poison the connection.
 #[derive(Debug)]
 pub struct AtcClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     server_version: u32,
+    io_timeout: Duration,
+    /// The first transport or protocol error, once one has happened.
+    poisoned: Option<String>,
 }
 
 impl AtcClient {
@@ -102,7 +111,9 @@ impl AtcClient {
 
         // Banner in, banner + Hello out, Hello back.
         let mut magic = [0u8; NET_MAGIC.len()];
-        reader.read_exact(&mut magic)?;
+        reader
+            .read_exact(&mut magic)
+            .map_err(|e| transport_error(e.into(), options.io_timeout))?;
         if magic != NET_MAGIC {
             return Err(AtcError::Format(
                 "peer did not present the ATCNET1 banner".into(),
@@ -112,8 +123,13 @@ impl AtcClient {
             reader,
             writer,
             server_version: 0,
+            io_timeout: options.io_timeout,
+            poisoned: None,
         };
-        client.writer.write_all(&NET_MAGIC)?;
+        client
+            .writer
+            .write_all(&NET_MAGIC)
+            .map_err(|e| transport_error(e.into(), options.io_timeout))?;
         client.send(&NetRequest::Hello {
             version: NET_PROTOCOL_VERSION,
         })?;
@@ -143,7 +159,7 @@ impl AtcClient {
         match self.receive()? {
             NetResponse::Stat(stat) => Ok(stat),
             NetResponse::Error { message } => Err(AtcError::Format(format!("server: {message}"))),
-            other => Err(AtcError::Format(format!("expected Stat, got {other:?}"))),
+            other => Err(self.poison(AtcError::Format(format!("expected Stat, got {other:?}")))),
         }
     }
 
@@ -177,16 +193,38 @@ impl AtcClient {
         self.collect_stream(u64::MAX)
     }
 
+    /// Latches `error` as the connection's poison (naming a missed
+    /// socket deadline as a timeout) and returns it: every later request
+    /// fails without touching the socket.
+    fn poison(&mut self, error: AtcError) -> AtcError {
+        let error = transport_error(error, self.io_timeout);
+        self.poisoned.get_or_insert_with(|| error.to_string());
+        error
+    }
+
+    /// Sends one request, unless an earlier error poisoned the
+    /// connection. Every request starts here, so a poisoned client never
+    /// reads a reply meant for an abandoned request.
     fn send(&mut self, request: &NetRequest) -> Result<()> {
-        request.write(&mut self.writer)?;
-        self.writer.flush()?;
-        Ok(())
+        if let Some(first) = &self.poisoned {
+            return Err(AtcError::Io(io::Error::new(
+                ErrorKind::NotConnected,
+                format!("connection unusable after an earlier error ({first}); reconnect"),
+            )));
+        }
+        let sent = request
+            .write(&mut self.writer)
+            .and_then(|()| self.writer.flush().map_err(AtcError::Io));
+        sent.map_err(|e| self.poison(e))
     }
 
     fn receive(&mut self) -> Result<NetResponse> {
-        let body = read_net_frame(&mut self.reader)?
-            .ok_or_else(|| AtcError::Format("server closed the connection".into()))?;
-        NetResponse::decode(&body)
+        let received = read_net_frame(&mut self.reader).and_then(|body| {
+            let body =
+                body.ok_or_else(|| AtcError::Format("server closed the connection".into()))?;
+            NetResponse::decode(&body)
+        });
+        received.map_err(|e| self.poison(e))
     }
 
     /// Drains one `Data*`/`Done` stream. `expect` is a sanity bound on
@@ -201,35 +239,52 @@ impl AtcClient {
             match self.receive()? {
                 NetResponse::Data(values) => {
                     if out.len() as u64 + values.len() as u64 > expect {
-                        return Err(AtcError::Format(format!(
+                        return Err(self.poison(AtcError::Format(format!(
                             "server sent more than the {expect} values asked for"
-                        )));
+                        ))));
                     }
                     out.extend_from_slice(&values);
                 }
                 NetResponse::Done { values } => {
                     if values != out.len() as u64 {
-                        return Err(AtcError::Format(format!(
+                        return Err(self.poison(AtcError::Format(format!(
                             "server says it sent {values} values, received {}",
                             out.len()
-                        )));
+                        ))));
                     }
                     return Ok(out);
                 }
                 NetResponse::Error { message } => {
                     if !out.is_empty() {
-                        return Err(AtcError::Format(format!(
+                        // The server drops a connection whose stream it
+                        // tore mid-way.
+                        return Err(self.poison(AtcError::Format(format!(
                             "server aborted mid-stream: {message}"
-                        )));
+                        ))));
                     }
                     return Err(AtcError::Format(format!("server: {message}")));
                 }
                 other => {
-                    return Err(AtcError::Format(format!(
+                    return Err(self.poison(AtcError::Format(format!(
                         "expected Data/Done, got {other:?}"
-                    )))
+                    ))))
                 }
             }
         }
+    }
+}
+
+/// Names a socket deadline as one: a read or write that outlasts the
+/// I/O timeout surfaces from the OS as `WouldBlock` (Unix) or
+/// `TimedOut` (Windows), and both become [`ErrorKind::TimedOut`].
+fn transport_error(error: AtcError, io_timeout: Duration) -> AtcError {
+    match error {
+        AtcError::Io(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            AtcError::Io(io::Error::new(
+                ErrorKind::TimedOut,
+                format!("no progress within io_timeout ({io_timeout:?}): {e}"),
+            ))
+        }
+        other => other,
     }
 }

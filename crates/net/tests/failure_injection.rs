@@ -1,7 +1,9 @@
 //! Protocol fault injection: hostile and broken peers must cost the
 //! server at most the one offending connection — an `Error` frame or a
 //! drop, never a panic, and never a wedged sibling connection. Every
-//! case ends by proving a healthy client is still served.
+//! case ends by proving a healthy client is still served. The last case
+//! turns the roles around: a server that answers late must cost the
+//! client an error, never a wrong answer.
 
 mod common;
 
@@ -12,7 +14,7 @@ use std::time::Duration;
 use atc_core::format::{
     read_net_frame, NetRequest, NetResponse, NET_MAGIC, NET_MAX_FRAME, NET_PROTOCOL_VERSION,
 };
-use atc_net::{AtcClient, ServeOptions};
+use atc_net::{AtcClient, ClientOptions, ServeOptions};
 use atc_store::ShardPolicy;
 use common::{build_store, local_range, scratch, TestServer};
 
@@ -277,4 +279,69 @@ fn stalled_reader_is_dropped_while_siblings_are_served() {
     let stats = server.stop();
     assert!(stats.dropped >= 1, "{stats:?}");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn late_reply_poisons_the_client_instead_of_answering_the_next_request() {
+    // A fake server: completes the handshake, holds its first
+    // `ReadRange` reply until the client has given up on it, then sends
+    // it.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (timed_out_tx, timed_out_rx) = std::sync::mpsc::channel::<()>();
+    let (late_sent_tx, late_sent_rx) = std::sync::mpsc::channel();
+    let (finish_tx, finish_rx) = std::sync::mpsc::channel::<()>();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.write_all(&NET_MAGIC).unwrap();
+        let mut banner = [0u8; NET_MAGIC.len()];
+        stream.read_exact(&mut banner).unwrap();
+        read_net_frame(&mut stream).unwrap().expect("hello");
+        NetResponse::Hello {
+            version: NET_PROTOCOL_VERSION,
+        }
+        .write(&mut stream)
+        .unwrap();
+        read_net_frame(&mut stream)
+            .unwrap()
+            .expect("first read_range");
+        timed_out_rx.recv().unwrap();
+        NetResponse::Data((100..110).collect())
+            .write(&mut stream)
+            .unwrap();
+        NetResponse::Done { values: 10 }.write(&mut stream).unwrap();
+        stream.flush().unwrap();
+        late_sent_tx.send(()).unwrap();
+        // Keep the socket open until the client is done, so nothing but
+        // the late reply is there to be misread.
+        let _ = finish_rx.recv();
+    });
+
+    let mut client = AtcClient::connect_with(
+        addr,
+        ClientOptions {
+            io_timeout: Duration::from_millis(200),
+            ..ClientOptions::default()
+        },
+    )
+    .unwrap();
+    let err = client.read_range(100..110).unwrap_err();
+    match &err {
+        atc_core::AtcError::Io(io) => {
+            assert_eq!(io.kind(), std::io::ErrorKind::TimedOut, "{err}");
+            assert!(io.to_string().contains("io_timeout"), "{err}");
+        }
+        other => panic!("expected a timeout, got {other}"),
+    }
+    timed_out_tx.send(()).unwrap();
+
+    // The stale reply is now sitting in the socket. A second request of
+    // the same length must fail, not return the first range's values.
+    late_sent_rx.recv().unwrap();
+    let second = client.read_range(500..510);
+    assert!(second.is_err(), "poisoned client answered: {second:?}");
+    assert!(client.stat().is_err(), "poison must stick");
+
+    finish_tx.send(()).unwrap();
+    fake.join().unwrap();
 }
