@@ -4,9 +4,10 @@
 //!
 //! * **Batch boundaries are invisible** — the batched fast path
 //!   ([`CacheFilter::filter_batch`]) must produce the byte-identical
-//!   filtered trace to the per-access iterator, over every
-//!   (associativity, write-back emission) combination, for arbitrary
-//!   access streams cut at arbitrary batch boundaries.
+//!   filtered trace whether the stream arrives as one batch or cut at
+//!   arbitrary batch boundaries, and the same trace as the per-access
+//!   iterator, over every (associativity, write-back emission)
+//!   combination.
 //! * **Per-set clocks replay the global clock** — LRU victim choice
 //!   only compares stamps within one set, so replacing the old global
 //!   access counter with per-set counters must be observationally
@@ -93,6 +94,42 @@ impl GlobalClockLru {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 8 }))]
+
+    /// Batch boundaries are invisible: the stream re-chunked into
+    /// arbitrary batch sizes filters byte for byte like one whole batch,
+    /// over ways {1, 2, 8} × write-back emission on/off (cache state must
+    /// carry across `filter_batch` calls untouched).
+    #[test]
+    fn chunked_filter_is_byte_identical_to_whole_batch(
+        raw in vec(any::<u64>(), 0..6000),
+        batch in 1usize..3000,
+    ) {
+        let accesses: Vec<Access> =
+            raw.iter().map(|&r| decode_access(r, 1024)).collect();
+        for ways in [1usize, 2, 8] {
+            // Small caches so the stream actually thrashes them.
+            let cfg = CacheConfig { sets: 16, ways, block_shift: 6 };
+            for emit in [false, true] {
+                let mut whole = CacheFilter::new(cfg, cfg);
+                whole.set_emit_writebacks(emit);
+                let mut want = Vec::new();
+                whole.filter_batch(&accesses, &mut want);
+                let mut chunked = CacheFilter::new(cfg, cfg);
+                chunked.set_emit_writebacks(emit);
+                let mut got = Vec::new();
+                for chunk in accesses.chunks(batch) {
+                    chunked.filter_batch(chunk, &mut got);
+                }
+                prop_assert_eq!(
+                    &got, &want,
+                    "ways={} emit={} batch={}", ways, emit, batch
+                );
+                prop_assert_eq!(chunked.misses(), whole.misses());
+                prop_assert_eq!(chunked.writebacks(), whole.writebacks());
+                prop_assert_eq!(chunked.accesses(), whole.accesses());
+            }
+        }
+    }
 
     /// The batched filter entry point and the iterator adapter are the
     /// same function: identical output and counters for identical
